@@ -7,7 +7,8 @@ paths evaluate the same arithmetic on the same grids; they may differ in
 floating-point summation order at the few-ulp level, so determinism is
 guaranteed per backend, not across backends.
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+The RK4 propagators of the linear comparison system are numpy only (their
+work is BLAS matrix products) and have no backend twin.
 """
 
 from __future__ import annotations
@@ -193,17 +194,13 @@ def _assemble_comparison_np(A, delta, iu, ju, pidx):
     P = iu.shape[0]
     n = A.shape[0]
     karr = np.arange(n)
-    d = A[ju, :] - A[iu, :]                         # (P, n): a_jk - a_ik
-    valid = (karr[None, :] != iu[:, None]) & (karr[None, :] != ju[:, None])
-    cols_i = np.where(valid, pidx[iu[:, None], karr[None, :]], P)
-    cols_j = np.where(valid, pidx[ju[:, None], karr[None, :]], P)
-    pos = np.where(valid, np.clip(d, 0.0, None), 0.0)
-    neg = np.where(valid, np.clip(-d, 0.0, None), 0.0)
-    E = np.zeros((P, P + 1))
-    rows = np.repeat(np.arange(P), n)
-    np.add.at(E, (rows, cols_i.ravel()), pos.ravel())
-    np.add.at(E, (rows, cols_j.ravel()), neg.ravel())
-    E = E[:, :P]
+    rows, ks = np.nonzero((karr[None, :] != iu[:, None]) & (karr[None, :] != ju[:, None]))
+    d = A[ju[rows], ks] - A[iu[rows], ks]          # a_jk - a_ik, k != i, j
+    E = np.zeros((P, P))
+    # within row (i, j) the columns {i, k} and {j, k} are all distinct, so
+    # plain assignment places every coefficient
+    E[rows, pidx[iu[rows], ks]] = np.maximum(d, 0.0)
+    E[rows, pidx[ju[rows], ks]] = np.maximum(-d, 0.0)
     E[np.arange(P), np.arange(P)] = 2.0 * delta
     return E
 
@@ -228,77 +225,6 @@ def _assemble_comparison_loops(A, delta, iu, ju, pidx):
 
 
 # ---------------------------------------------------------------------------
-# RK4 steppers for linear comparison systems
-#
-# The "const" variants integrate u' = E u + b with frozen coefficients over
-# n uniform steps (one schedule segment); the "sampled" variants take
-# per-step stage samples (t, t + h/2, t + h) prepared by the caller.
-# Full-resolution output; callers subsample.
-# ---------------------------------------------------------------------------
-
-def _rk4_const_linear_impl(E, b, u0, h, n_steps):
-    d = u0.shape[0]
-    out = np.empty((n_steps + 1, d))
-    out[0] = u0
-    u = u0.copy()
-    for s in range(n_steps):
-        k1 = E @ u + b
-        k2 = E @ (u + 0.5 * h * k1) + b
-        k3 = E @ (u + 0.5 * h * k2) + b
-        k4 = E @ (u + h * k3) + b
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[s + 1] = u
-    return out
-
-
-def _rk4_sampled_linear_impl(Es, bs, hs, u0):
-    n = hs.shape[0]
-    d = u0.shape[0]
-    out = np.empty((n + 1, d))
-    out[0] = u0
-    u = u0.copy()
-    for s in range(n):
-        h = hs[s]
-        k1 = Es[s, 0] @ u + bs[s, 0]
-        k2 = Es[s, 1] @ (u + 0.5 * h * k1) + bs[s, 1]
-        k3 = Es[s, 1] @ (u + 0.5 * h * k2) + bs[s, 1]
-        k4 = Es[s, 2] @ (u + h * k3) + bs[s, 2]
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[s + 1] = u
-    return out
-
-
-def _rk4_const_principal_impl(E, U0, h, n_steps):
-    U = U0.copy()
-    norms = np.empty(n_steps + 1)
-    norms[0] = np.abs(U).sum(axis=1).max()
-    for s in range(n_steps):
-        K1 = E @ U
-        K2 = E @ (U + 0.5 * h * K1)
-        K3 = E @ (U + 0.5 * h * K2)
-        K4 = E @ (U + h * K3)
-        U = U + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        norms[s + 1] = np.abs(U).sum(axis=1).max()
-    return norms, U
-
-
-def _rk4_sampled_principal_impl(Es, hs, U0):
-    n = hs.shape[0]
-    U = U0.copy()
-    norms = np.empty(n + 1)
-    norms[0] = np.abs(U).sum(axis=1).max()
-    for s in range(n):
-        h = hs[s]
-        K1 = Es[s, 0] @ U
-        K2 = Es[s, 1] @ (U + 0.5 * h * K1)
-        K3 = Es[s, 1] @ (U + 0.5 * h * K2)
-        K4 = Es[s, 2] @ (U + h * K3)
-        U = U + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        norms[s + 1] = np.abs(U).sum(axis=1).max()
-    return norms, U
-
-
-# ---------------------------------------------------------------------------
 # backend binding
 # ---------------------------------------------------------------------------
 
@@ -309,10 +235,6 @@ if _HAVE_NUMBA:
     _e_hat_series_nb = _jit(_e_hat_series_loops)
     _delta_gamma_nb = _jit(_delta_gamma_loops)
     _assemble_comparison_nb = _jit(_assemble_comparison_loops)
-    _rk4_const_linear_nb = _jit(_rk4_const_linear_impl)
-    _rk4_sampled_linear_nb = _jit(_rk4_sampled_linear_impl)
-    _rk4_const_principal_nb = _jit(_rk4_const_principal_impl)
-    _rk4_sampled_principal_nb = _jit(_rk4_sampled_principal_impl)
 
 IMPLEMENTATIONS = {
     "numpy": {
@@ -321,10 +243,6 @@ IMPLEMENTATIONS = {
         "e_hat_series": _e_hat_series_np,
         "delta_gamma": _delta_gamma_np,
         "assemble_comparison": _assemble_comparison_np,
-        "rk4_const_linear": _rk4_const_linear_impl,
-        "rk4_sampled_linear": _rk4_sampled_linear_impl,
-        "rk4_const_principal": _rk4_const_principal_impl,
-        "rk4_sampled_principal": _rk4_sampled_principal_impl,
     }
 }
 if _HAVE_NUMBA:
@@ -334,10 +252,6 @@ if _HAVE_NUMBA:
         "e_hat_series": _e_hat_series_nb,
         "delta_gamma": _delta_gamma_nb,
         "assemble_comparison": _assemble_comparison_nb,
-        "rk4_const_linear": _rk4_const_linear_nb,
-        "rk4_sampled_linear": _rk4_sampled_linear_nb,
-        "rk4_const_principal": _rk4_const_principal_nb,
-        "rk4_sampled_principal": _rk4_sampled_principal_nb,
     }
 
 _ACTIVE = IMPLEMENTATIONS["numba" if USE_NUMBA else "numpy"]
@@ -378,20 +292,120 @@ def assemble_comparison(A, delta):
     return _ACTIVE["assemble_comparison"](_f64(A), _f64(delta), iu, ju, pidx)
 
 
+# ---------------------------------------------------------------------------
+# RK4 on linear comparison systems u' = E(t) u + b(t)
+#
+# These are numpy only: their work is BLAS matrix products.  On a frozen E
+# one RK4 step of size h is the affine map
+#
+#   u <- R(hE) u + h Phi(hE) b,
+#   R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,   Phi(z) = 1 + z/2 + z^2/6 + z^3/24,
+#
+# R being RK4's stability function (Hairer, Norsett & Wanner, Solving ODEs I).
+# The "sampled" variants take E (and b) from a callable at the stage times
+# t_s, t_s + h/2 and t_{s+1} of the step boundaries ts; the end sample of a
+# step is the start sample of the next, so each distinct time is sampled once.
+# ---------------------------------------------------------------------------
+
+def rk4_map(E, h):
+    """R(hE), the RK4 step map of u' = E u with E frozen (Horner form)."""
+    Z = h * _f64(E)
+    eye = np.eye(Z.shape[0])
+    return eye + Z @ (eye + Z @ (0.5 * eye + Z @ (eye / 6.0 + Z / 24.0)))
+
+
 def rk4_const_linear(E, b, u0, h, n_steps):
-    return _ACTIVE["rk4_const_linear"](_f64(E), _f64(b), _f64(u0), float(h), int(n_steps))
+    """(n_steps + 1, d) RK4 states of u' = E u + b, E and b constant, step h."""
+    E, b, u = _f64(E), _f64(b), _f64(u0)
+    h = float(h)
+    Z = h * E
+    R = rk4_map(E, h)
+    w = h * (b + Z @ (0.5 * b + Z @ (b / 6.0 + Z @ (b / 24.0))))
+    out = np.empty((int(n_steps) + 1, u.shape[0]))
+    out[0] = u
+    for s in range(1, out.shape[0]):
+        out[s] = R @ out[s - 1] + w
+    return out
 
 
-def rk4_sampled_linear(Es, bs, hs, u0):
-    return _ACTIVE["rk4_sampled_linear"](_f64(Es), _f64(bs), _f64(hs), _f64(u0))
+def rk4_sampled_linear(E_at, b_at, ts, u0):
+    """(len(ts), d) RK4 states of u' = E(t) u + b(t) over the step boundaries ts."""
+    ts, u = _f64(ts), _f64(u0)
+    out = np.empty((ts.shape[0], u.shape[0]))
+    out[0] = u
+    E0, b0 = _f64(E_at(ts[0])), _f64(b_at(ts[0]))
+    for s in range(ts.shape[0] - 1):
+        h = ts[s + 1] - ts[s]
+        tm = ts[s] + 0.5 * h
+        Em, bm = _f64(E_at(tm)), _f64(b_at(tm))
+        E1, b1 = _f64(E_at(ts[s + 1])), _f64(b_at(ts[s + 1]))
+        k1 = E0 @ u + b0
+        k2 = Em @ (u + 0.5 * h * k1) + bm
+        k3 = Em @ (u + 0.5 * h * k2) + bm
+        k4 = E1 @ (u + h * k3) + b1
+        out[s + 1] = u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        E0, b0 = E1, b1
+    return out
 
 
-def rk4_const_principal(E, h, n_steps, U0=None):
-    E = _f64(E)
-    if U0 is None:
-        U0 = np.eye(E.shape[0])
-    return _ACTIVE["rk4_const_principal"](E, _f64(U0), float(h), int(n_steps))
+def _injections(starts, n_steps):
+    """{step: columns} for the columns that are set to 1 before that step."""
+    out = {}
+    for k, s in enumerate(np.asarray(starts, dtype=np.int64).tolist()):
+        if 0 <= s < n_steps:
+            out.setdefault(s, []).append(k)
+    return out
 
 
-def rk4_sampled_principal(Es, hs, U0):
-    return _ACTIVE["rk4_sampled_principal"](_f64(Es), _f64(hs), _f64(U0))
+def rk4_const_principal(E, hs, V, starts):
+    """Propagate the (P, K) block V through RK4 steps hs of u' = E u, E constant.
+
+    Before step s every column k with starts[k] == s is set to 1, so a
+    column started at s carries U(t, t_s) 1; a start outside the steps
+    never fires.  Each step is one product with
+    R(hE), built once per distinct step length.  Returns (norms, V): the
+    column inf-norms, (len(hs) + 1, K), at every step boundary, and the
+    final block.
+    """
+    E, V = _f64(E), _f64(V).copy()
+    inject = _injections(starts, len(hs))
+    norms = np.empty((len(hs) + 1, V.shape[1]))
+    maps = {}
+    for s, h in enumerate(np.asarray(hs, dtype=float).tolist()):
+        if s in inject:
+            V[:, inject[s]] = 1.0
+        norms[s] = np.abs(V).max(axis=0)
+        R = maps.get(h)
+        if R is None:
+            R = maps[h] = rk4_map(E, h)
+        V = R @ V
+    norms[-1] = np.abs(V).max(axis=0)
+    return norms, V
+
+
+def rk4_sampled_principal(E_at, ts, V, starts):
+    """Propagate the (P, K) block V over the step boundaries ts of u' = E(t) u.
+
+    E comes from the callable E_at, sampled once per distinct stage time;
+    ``starts`` and the return value are as for :func:`rk4_const_principal`.
+    """
+    ts, V = _f64(ts), _f64(V).copy()
+    n_steps = ts.shape[0] - 1
+    inject = _injections(starts, n_steps)
+    norms = np.empty((n_steps + 1, V.shape[1]))
+    E0 = _f64(E_at(ts[0]))
+    for s in range(n_steps):
+        if s in inject:
+            V[:, inject[s]] = 1.0
+        norms[s] = np.abs(V).max(axis=0)
+        h = ts[s + 1] - ts[s]
+        Em = _f64(E_at(ts[s] + 0.5 * h))
+        E1 = _f64(E_at(ts[s + 1]))
+        K1 = E0 @ V
+        K2 = Em @ (V + 0.5 * h * K1)
+        K3 = Em @ (V + 0.5 * h * K2)
+        K4 = E1 @ (V + h * K3)
+        V = V + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        E0 = E1
+    norms[-1] = np.abs(V).max(axis=0)
+    return norms, V

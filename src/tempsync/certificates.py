@@ -314,19 +314,9 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
         if is_const:
             out = kern.rk4_const_linear(E_fn(a), b_fn(a), u, h, n_steps)
         else:
-            d = cs.dim
-            Es = np.empty((n_steps, 3, d, d))
-            bs = np.empty((n_steps, 3, d))
-            for s in range(n_steps):
-                t = a + s * h
-                te = b if s + 1 == n_steps else t + h
-                Es[s, 0] = E_fn(t)
-                Es[s, 1] = E_fn(t + 0.5 * h)
-                Es[s, 2] = E_fn(te)
-                bs[s, 0] = b_fn(t)
-                bs[s, 1] = b_fn(t + 0.5 * h)
-                bs[s, 2] = b_fn(te)
-            out = kern.rk4_sampled_linear(Es, bs, np.full(n_steps, h), u)
+            ts = a + h * np.arange(n_steps + 1)
+            ts[-1] = b
+            out = kern.rk4_sampled_linear(E_fn, b_fn, ts, u)
         u = out[-1]
         for s in range(1, n_steps + 1):
             count += 1
@@ -351,14 +341,22 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     """Row-dominance margin and numerical verification of the decay bound.
 
     gamma_bar is the grid infimum of the per-row margins -(row sum of E(t)),
-    which equals min-pair gamma_ij whenever the diagonal is negative.
+    which equals min-pair gamma_ij whenever the diagonal is negative.  E(t)
+    must be Metzler (nonnegative off the diagonal); a sampled E with a
+    negative off-diagonal entry raises ValueError naming the time.  For a
+    Metzler E the largest row sum is the log-norm mu_inf(E), so by Coppel's
+    inequality ||U(t, s)||_inf <= exp(-gamma_bar (t - s)) whenever the margin
+    stays above gamma_bar (Soderlind 2006, BIT 46).
+
     verified is True only when gamma_bar > 0 and the propagated principal
-    matrix solution satisfies ||U(t, s)||_inf <= exp(-gamma_bar (t-s))(1+tol)
-    on sampled anchor pairs.  The bound is tight to first order for the
-    dominant row, so propagation subdivides each grid interval (``substeps``)
-    to keep the integration error well below tol.  Row dominance is
-    sufficient, not necessary: a stable system can still return
-    verified=False.
+    solution satisfies ||U(t, s)||_inf <= exp(-gamma_bar (t-s))(1+tol) from
+    sampled anchors s.  E Metzler makes U(t, s) entrywise nonnegative
+    (Farina & Rinaldi, Positive Linear Systems), so ||U||_inf = ||U 1||_inf:
+    one vector per anchor is propagated, all anchors together as one block.
+    The bound is tight to first order for the dominant row, so propagation
+    subdivides each grid interval (``substeps``) to keep the integration
+    error well below tol.  Row dominance is sufficient, not necessary: a
+    stable system can still return verified=False.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -374,7 +372,7 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
             continue
         sample_at = [grid[idx[0]]] if is_const else grid[idx]
         for t in sample_at:
-            margins = -cs_row_sums(E_fn(t))
+            margins = -cs_row_sums(_metzler(E_fn(t), t))
             gamma_bar = min(gamma_bar, float(margins.min()))
     if gamma_bar <= 0:
         return DecayCheck(gamma_bar, False, np.inf, [])
@@ -382,13 +380,13 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     anchor_idx = np.unique(
         np.linspace(0, len(grid) - 2, min(max_anchors, len(grid) - 1)).astype(int)
     )
+    norms = _anchor_norms(cs.dim, segs, starts, grid, anchor_idx, substeps)
     max_ratio = 0.0
     verified = True
-    for ai in anchor_idx:
+    for k, ai in enumerate(anchor_idx):
         ts = grid[ai:]
-        norms = _propagate_principal_norms(segs, starts, ts, substeps)
         bound = np.exp(-gamma_bar * (ts - ts[0]))
-        ratio = float(np.max(norms / bound))
+        ratio = float(np.max(norms[ai:, k] / bound))
         max_ratio = max(max_ratio, ratio)
         if ratio > 1.0 + tol:
             verified = False
@@ -399,70 +397,66 @@ def cs_row_sums(E: np.ndarray) -> np.ndarray:
     return E.sum(axis=1)
 
 
-def _propagate_principal_norms(segs, starts, record_times, substeps=1):
-    """Inf-norms of U(t, record_times[0]) at every recorded time.
+def _metzler(E: np.ndarray, t: float) -> np.ndarray:
+    """E itself, after checking that no off-diagonal entry is negative."""
+    neg = E < 0
+    np.fill_diagonal(neg, False)
+    if neg.any():
+        i, j = np.argwhere(neg)[0]
+        raise ValueError(
+            f"comparison matrix E(t) at t={t:.6g} is not Metzler: entry "
+            f"({i + 1}, {j + 1}) = {E[i, j]:.6g} < 0"
+        )
+    return E
 
-    The integration timeline is the record grid merged with segment
-    boundaries (so no RK4 step straddles a coefficient discontinuity), each
-    interval subdivided ``substeps`` times for accuracy.
+
+def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
+    """||U(t, grid[a]) 1||_inf at every grid time t, one column per anchor a.
+
+    Column k of one (dim, K) block is set to 1 at its anchor and propagated
+    with the others; before its anchor it is 0.  The timeline is the grid
+    merged with the segment boundaries inside it, so no RK4 step straddles
+    a coefficient jump, and each interval is split into ``substeps`` steps.
+    On a constant segment, interval lengths that differ by no more than the
+    rounding of the times themselves (4 ulp of the largest |t|) are stepped
+    as one length, so a uniform grid needs one RK4 map per segment.
     """
-    t0, t1 = record_times[0], record_times[-1]
-    timeline = set(float(t) for t in record_times)
-    for a, *_ in segs:
-        if t0 < a < t1:
-            timeline.add(float(a))
-    timeline = np.array(sorted(timeline))
+    sub = max(1, int(substeps))
+    cuts = [a for a, *_ in segs if grid[0] < a < grid[-1]]
+    timeline = np.union1d(grid, cuts)
     seg_idx = np.clip(
         np.searchsorted(starts, timeline[:-1], side="right") - 1, 0, len(segs) - 1
     )
-    sub = max(1, int(substeps))
-    norms_tl = np.empty(len(timeline))
-    norms_tl[0] = np.nan
-    U = None
-    d = 0
+    anchor_tl = np.searchsorted(timeline, grid[anchor_idx])
+    same = 4.0 * np.spacing(np.abs(timeline).max())
+    norms_tl = np.zeros((len(timeline), len(anchor_idx)))
+    V = np.zeros((dim, len(anchor_idx)))
     pos = 0
-    chunk = max(1, 512 // sub)  # bounds the (steps, 3, d, d) stage buffer
     while pos < len(timeline) - 1:
         s = seg_idx[pos]
         end = pos
         while end < len(timeline) - 1 and seg_idx[end] == s:
             end += 1
-        a, b, E_fn, _, is_const = segs[s]
+        _, _, E_fn, _, is_const = segs[s]
         tseg = timeline[pos:end + 1]
-        if U is None:
-            d = E_fn(tseg[0]).shape[0]
-            U = np.eye(d)
-            norms_tl[0] = 1.0
-        hs = np.diff(tseg)
-        if is_const and hs.size and np.allclose(hs, hs[0]):
-            seg_norms, U = kern.rk4_const_principal(
-                E_fn(tseg[0]), hs[0] / sub, hs.size * sub, U0=U
-            )
-            norms_tl[pos + 1:end + 1] = seg_norms[sub::sub]
+        lengths = np.diff(tseg)
+        first = (anchor_tl - pos) * sub  # the step before which each column starts
+        if is_const:
+            for q in range(1, lengths.size):
+                close = np.abs(lengths[:q] - lengths[q]) <= same
+                if close.any():
+                    lengths[q] = lengths[np.argmax(close)]
+            E = _metzler(E_fn(tseg[0]), tseg[0])
+            run, V = kern.rk4_const_principal(E, np.repeat(lengths / sub, sub), V, first)
         else:
-            E_const = E_fn(tseg[0]) if is_const else None
-            for lo in range(0, hs.size, chunk):
-                hi = min(lo + chunk, hs.size)
-                n_sub = (hi - lo) * sub
-                Es = np.empty((n_sub, 3, d, d))
-                hsub = np.repeat(hs[lo:hi] / sub, sub)
-                if E_const is not None:
-                    Es[:] = E_const
-                else:
-                    for q in range(lo, hi):
-                        base = tseg[q]
-                        hq = hs[q] / sub
-                        for r in range(sub):
-                            t = base + r * hq
-                            row = (q - lo) * sub + r
-                            Es[row, 0] = E_fn(t)
-                            Es[row, 1] = E_fn(t + 0.5 * hq)
-                            Es[row, 2] = E_fn(t + hq)
-                seg_norms, U = kern.rk4_sampled_principal(Es, hsub, U)
-                norms_tl[pos + 1 + lo:pos + 1 + hi] = seg_norms[sub::sub]
+            ts = (tseg[:-1, None] + (lengths / sub)[:, None] * np.arange(sub)).ravel()
+            ts = np.append(ts, tseg[-1])
+            run, V = kern.rk4_sampled_principal(
+                lambda t, E_fn=E_fn: _metzler(E_fn(t), t), ts, V, first
+            )
+        norms_tl[pos:end + 1] = run[::sub]
         pos = end
-    mask = np.isin(timeline, record_times)
-    return norms_tl[mask]
+    return norms_tl[np.searchsorted(timeline, grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -756,14 +750,15 @@ def persistence_margins(cert: SyncCertificate, rho: float, n_nodes: int) -> Pers
     return PersistenceMargins(lambda d: factor * d, gb / 4.0)
 
 
-def static_threshold(A_static, l_rho: float, tol: float = 1e-9) -> float:
+def static_threshold(A_static, l_rho: float) -> float:
     """Smallest global coupling making a static network certifiable.
 
     Requires the pair hypothesis 2(a_ij + a_ji) + sum_k (a_jk + a_ik -
-    |a_jk - a_ik|) > 0 for every pair (raises naming the first violating
-    pair otherwise), then bisects to width tol for the least c with
-    delta_ij(c) < 0 and gamma_ij(c) > 0 for all pairs.  Both inequality
-    families are monotone in c beyond the threshold.
+    |a_jk - a_ik|) = 2 S_ij - D_ij > 0 for every pair (raises naming the
+    first violating pair otherwise).  With delta_ij(c) = l - c S_ij and
+    gamma_ij(c) = 2|delta_ij(c)| - c D_ij, and D_ij >= 0, both delta < 0 and
+    gamma > 0 hold exactly for c > 2 l / (2 S_ij - D_ij) when l > 0, and for
+    every c > 0 otherwise; the threshold is the largest of these bounds.
     """
     A = np.array(A_static, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -777,25 +772,6 @@ def static_threshold(A_static, l_rho: float, tol: float = 1e-9) -> float:
     if bad.size:
         p = int(bad[0])
         raise InfeasibleTopologyError((int(iu[p]), int(ju[p])), float(hyp[p]))
-
-    def satisfied(c: float) -> bool:
-        d = l_rho - c * S
-        g = 2.0 * np.abs(d) - c * D
-        return bool((d < 0).all() and (g > 0).all())
-
-    if satisfied(0.0):
+    if l_rho <= 0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if satisfied(hi):
-            break
-        lo, hi = hi, hi * 2.0
-    else:  # pragma: no cover - hypothesis > 0 guarantees termination
-        raise RuntimeError("no finite coupling threshold found")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(np.max(2.0 * l_rho / hyp))

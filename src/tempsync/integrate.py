@@ -209,7 +209,11 @@ def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
         X4 = X + h * sum(_RKF_B4[s] * k[s] for s in range(6))
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(X), np.abs(X5))
         err = np.sqrt(np.mean(((X5 - X4) / scale) ** 2))
-        if err <= 1.0 or h <= 1e-12:
+        if err > 1.0 and h <= 1e-12:
+            raise IntegrationError(
+                f"step of size {h:.3g} at t={t} rejected (error ratio {err:.3g}); "
+                f"the tolerances cannot be met", t)
+        if err <= 1.0:
             t_new = t + h
             _check_finite(t_new, X5)
             X = X5

@@ -205,7 +205,7 @@ def test_criterion_05_bound_realization():
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: static coupling threshold by bisection
+# criterion 6: static coupling threshold in closed form
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_static_threshold():

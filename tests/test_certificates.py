@@ -238,6 +238,102 @@ def test_decay_check_not_dominant_returns_false():
     assert chk.gamma_bar < 0 and not chk.verified
 
 
+def test_decay_check_rejects_non_metzler_e():
+    E = np.array([[-2.0, 0.3], [-0.1, -2.0]])  # negative off-diagonal entry
+    cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)
+    with pytest.raises(ValueError, match=r"t=0 is not Metzler: entry \(2, 1\)"):
+        ts.dominance_decay_check(cs, np.linspace(0, 2, 21))
+    # time-varying: the entry turns negative after t = 1
+    cs = ComparisonSystem(
+        2, lambda t: np.array([[-2.0, 1.0 - t], [0.1, -2.0]]), lambda t: np.zeros(2),
+    )
+    with pytest.raises(ValueError, match=r"t=1\.1 is not Metzler: entry \(1, 2\)"):
+        ts.dominance_decay_check(cs, np.linspace(0, 2, 21))
+
+
+def _signed_switching_instance(seed, n, time_varying):
+    """Seeded signed switching network with pair rates that keep every
+    segment row dominant (gamma >= 2 kappa, kappa in (0.2, 1))."""
+    rng = np.random.default_rng(seed)
+    segs, t = [], 0.0
+    while t < 2.0:
+        A = rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        A *= np.where(rng.random((n, n)) < 0.2, -1.0, 1.0)
+        np.fill_diagonal(A, 0.0)
+        segs.append((t, A))
+        t += float(rng.uniform(0.3, 0.8))
+    iu, ju, _ = pair_arrays(n)
+    worst = np.full(len(iu), np.inf)
+    for _, A in segs:
+        delta0, gamma0 = ts._kernels.delta_gamma(A, np.zeros(len(iu)))  # delta0 = -S
+        worst = np.minimum(worst, -delta0 - 0.5 * (2 * np.abs(delta0) - gamma0))
+    rate = worst - rng.uniform(0.2, 1.0, len(iu))
+    alpha = np.zeros((n, n))
+    alpha[iu, ju] = alpha[ju, iu] = rate
+    w = rng.uniform(1.0, 3.0, (n, n))
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.build_switching_schedule(n, segs))
+    if time_varying:
+        bounds = ts.PairBoundSet(
+            n, 1.0, lambda i, j, t: alpha[i, j] + 0.3 * (math.sin(w[i, j] * t) - 1.0),
+            lambda i, j, t: 0.0,
+        )
+    else:
+        bounds = ts.PairBoundSet.constant(n, alpha, 0.0, 1.0)
+    return ComparisonSystem.from_network(system, bounds)
+
+
+def _principal_norms_reference(cs, grid, anchor_idx, substeps=4):
+    """||U(t, s)||_inf from the full P x P principal matrix, propagated by
+    stage-form RK4 for one anchor s at a time on the grid merged with the
+    segment boundaries, E sampled at every stage."""
+    segs = cs._segments(grid[0], grid[-1] + 1e-12)
+    starts = [a for a, *_ in segs]
+    out = []
+    for ai in anchor_idx:
+        cuts = [a for a in starts if grid[ai] < a < grid[-1]]
+        timeline = np.union1d(grid[ai:], cuts)
+        U = np.eye(cs.dim)
+        norms = [1.0]
+        for t0, t1 in zip(timeline[:-1], timeline[1:]):
+            E_fn = segs[int(np.searchsorted(starts, t0, side="right")) - 1][2]
+            h = (t1 - t0) / substeps
+            for r in range(substeps):
+                t = t0 + r * h
+                E0, Em, E1 = E_fn(t), E_fn(t + h / 2), E_fn(t + h)
+                K1 = E0 @ U
+                K2 = Em @ (U + h / 2 * K1)
+                K3 = Em @ (U + h / 2 * K2)
+                K4 = E1 @ (U + h * K3)
+                U = U + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
+            norms.append(np.abs(U).sum(axis=1).max())
+        out.append(np.array(norms)[np.isin(timeline, grid)])
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 10])
+@pytest.mark.parametrize("time_varying", [False, True])
+def test_decay_check_block_norms_match_principal_matrix(n, time_varying):
+    from tempsync.certificates import _anchor_norms
+    grid = np.linspace(0.0, 2.0, 21)
+    for seed in range(3):
+        cs = _signed_switching_instance(100 * n + seed, n, time_varying)
+        chk = ts.dominance_decay_check(cs, grid)
+        assert chk.gamma_bar > 0
+        anchor_idx = np.searchsorted(grid, chk.anchors)
+        segs = cs._segments(grid[0], grid[-1] + 1e-12)
+        starts = np.array([a for a, *_ in segs])
+        block = _anchor_norms(cs.dim, segs, starts, grid, anchor_idx, 4)
+        ref = _principal_norms_reference(cs, grid, anchor_idx)
+        ratio = 0.0
+        for k, ai in enumerate(anchor_idx):
+            assert np.all(block[:ai, k] == 0.0)
+            np.testing.assert_allclose(block[ai:, k], ref[k], rtol=1e-12, atol=0)
+            bound = np.exp(-chk.gamma_bar * (grid[ai:] - grid[ai]))
+            ratio = max(ratio, float(np.max(ref[k] / bound)))
+        assert chk.max_ratio == pytest.approx(ratio, rel=1e-12)
+        assert chk.verified == (ratio <= 1.0 + 1e-6)
+
+
 # -- certificates ------------------------------------------------------------
 
 def test_full_sync_identical_complete_graph_holds():
@@ -361,6 +457,24 @@ def test_static_threshold_star_cases():
     with pytest.raises(ts.InfeasibleTopologyError) as exc:
         ts.static_threshold(ts.star_matrix(5, 3.0, -1.0), 1.0)
     assert exc.value.pair == (1, 2)
+
+
+def test_static_threshold_on_rounded_feasibility_boundary():
+    # Pair (1, 2) has 2 S - D = 2(0.6 - 0.6) + 2 min(0, 0.7) = 0 in exact
+    # arithmetic, but the rounded sums leave a positive value near 1e-16.
+    # The closed form returns the huge finite threshold 2 l / (2 S - D) at
+    # once, where a bisection to an absolute width of 1e-9 near c = 1e16
+    # never ends.
+    A = [[0.0, 0.6, 0.0, 0.0], [-0.6, 0.0, 0.7, 0.0],
+         [0.7, 0.7, 0.0, 1.3], [0.1, 0.7, 0.0, 0.0]]
+    c_bar = ts.static_threshold(A, 1.0)
+    assert math.isfinite(c_bar) and c_bar > 1e15
+    assert ts.static_threshold(A, 0.0) == 0.0
+    # the threshold is the largest per-pair bound, set by the boundary pair
+    from tempsync.certificates import _sd_arrays
+    iu, ju, _ = pair_arrays(4)
+    S, D = _sd_arrays(np.array(A), iu, ju, np.arange(4))
+    assert c_bar == 2.0 / (2.0 * S[0] - D[0])
 
 
 # -- cluster certificates ----------------------------------------------------

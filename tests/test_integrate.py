@@ -156,6 +156,20 @@ def test_blow_up_reports_last_valid_time():
     assert 0.9 < exc.value.t_last <= 2.0
 
 
+def test_rk45_raises_when_minimum_step_is_rejected():
+    # a forcing jump of 1e6 at t = 0.5 inside one segment: no step across it
+    # can meet the tolerances, so the step shrinks to 1e-12 and must fail
+    # loudly instead of being accepted with its error unchecked
+    system = ts.NetworkSystem(
+        [ts.zero_dynamics(1)] * 2, ts.static_schedule(np.zeros((2, 2))),
+        stacked_rhs=lambda t, X: np.full_like(X, 1e6 if t > 0.5 else 0.0),
+    )
+    cfg = ts.SolverConfig(method="rk45", rtol=1e-10, atol=1e-12)
+    with pytest.raises(ts.IntegrationError, match="rejected") as exc:
+        ts.integrate(system, 0.0, np.zeros((2, 1)), 1.0, cfg)
+    assert 0.49 < exc.value.t_last <= 0.5
+
+
 def test_trajectory_and_error_csv_headers(tmp_path):
     system = _consensus_pair()
     traj = ts.integrate(

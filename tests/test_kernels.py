@@ -1,4 +1,4 @@
-"""Backend-agreement and closed-form checks for the hot kernels."""
+"""Backend-agreement, closed-form and reference checks for the hot kernels."""
 
 import numpy as np
 import pytest
@@ -59,22 +59,96 @@ def test_xi_and_e_hat_hand_values():
     assert np.allclose(kern.e_hat_series(states), [3.0])
 
 
+def test_assemble_comparison_matches_loop_reference():
+    for seed, n in enumerate((2, 3, 6, 11)):
+        A, _, _, alpha = _rand_inputs(seed, n=n)
+        iu, ju, pidx = kern.pair_arrays(n)
+        delta, _ = kern.delta_gamma(A, alpha)
+        ref = kern._assemble_comparison_loops(A, delta, iu, ju, pidx)
+        assert np.array_equal(kern.assemble_comparison(A, delta), ref)
+
+
 def test_rk4_const_linear_matches_scalar_exponential():
     E = np.array([[-2.0]])
     out = kern.rk4_const_linear(E, np.zeros(1), np.ones(1), 1e-3, 2000)
     assert abs(out[-1, 0] - np.exp(-4.0)) < 1e-12
 
 
+def _stage_rk4(E_at, b_at, ts, u0):
+    """Textbook four-stage RK4 of u' = E(t) u + b(t) over the boundaries ts."""
+    out = [np.array(u0, dtype=float)]
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        h = t1 - t0
+        u = out[-1]
+        k1 = E_at(t0) @ u + b_at(t0)
+        k2 = E_at(t0 + h / 2) @ (u + h / 2 * k1) + b_at(t0 + h / 2)
+        k3 = E_at(t0 + h / 2) @ (u + h / 2 * k2) + b_at(t0 + h / 2)
+        k4 = E_at(t1) @ (u + h * k3) + b_at(t1)
+        out.append(u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(out)
+
+
+def _random_metzler(rng, d):
+    E = rng.uniform(0.0, 1.0, (d, d)) * (rng.random((d, d)) < 0.5)
+    np.fill_diagonal(E, -rng.uniform(1.0, 4.0, d) - E.sum(axis=1))
+    return E
+
+
+def test_rk4_const_linear_affine_form_matches_stage_form():
+    # u <- R(hE) u + h Phi(hE) b is RK4 itself on a frozen E, up to rounding
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 30))
+        E, b = _random_metzler(rng, d), rng.uniform(0.0, 1.0, d)
+        u0 = rng.uniform(0.0, 1.0, d)
+        h, n = float(rng.uniform(1e-3, 5e-2)), 200
+        got = kern.rk4_const_linear(E, b, u0, h, n)
+        ref = _stage_rk4(lambda t: E, lambda t: b, h * np.arange(n + 1), u0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_rk4_sampled_linear_matches_stage_form():
+    rng = np.random.default_rng(7)
+    E0, E1 = _random_metzler(rng, 6), _random_metzler(rng, 6)
+    b = rng.uniform(0.0, 1.0, 6)
+
+    def E_at(t):
+        return E0 + np.sin(3 * t) ** 2 * E1
+
+    def b_at(t):
+        return (1 + np.cos(t)) * b
+
+    ts_ = np.linspace(0.0, 1.5, 151)
+    got = kern.rk4_sampled_linear(E_at, b_at, ts_, np.ones(6))
+    np.testing.assert_allclose(got, _stage_rk4(E_at, b_at, ts_, np.ones(6)), rtol=1e-12, atol=0)
+
+
 def test_rk4_const_principal_norm_decay():
     E = np.array([[-1.0, 0.5], [0.5, -1.0]])
-    norms, U = kern.rk4_const_principal(E, 1e-3, 1000)
+    # column 0 starts at step 0, column 1 at step 500; columns carry U(t, s) 1
+    norms, V = kern.rk4_const_principal(E, np.full(1000, 1e-3), np.zeros((2, 2)), [0, 500])
     # row-dominance margin 0.5 -> inf-norm bounded by exp(-0.5 t)
-    assert norms[0] == 1.0
-    assert norms[-1] <= np.exp(-0.5) * (1 + 1e-9)
+    assert norms[0, 0] == 1.0 and norms[500, 1] == 1.0
+    assert np.all(norms[:500, 1] == 0.0)
+    assert norms[-1, 0] <= np.exp(-0.5) * (1 + 1e-9)
     # principal solution of a constant system is the matrix exponential
-    w, V = np.linalg.eigh(E)
-    expm = V @ np.diag(np.exp(w)) @ V.T
-    assert np.allclose(U, expm, atol=1e-10)
+    w, Q = np.linalg.eigh(E)
+    for k, t in enumerate((1.0, 0.5)):
+        expm = Q @ np.diag(np.exp(w * t)) @ Q.T
+        assert np.allclose(V[:, k], expm @ np.ones(2), atol=1e-10)
+        assert np.max(np.abs(V[:, k])) == norms[-1, k]
+
+
+def test_rk4_sampled_principal_matches_const_on_frozen_e():
+    rng = np.random.default_rng(3)
+    E = _random_metzler(rng, 8)
+    ts_ = np.linspace(0.0, 1.0, 41)
+    hs = np.diff(ts_)
+    n_c, V_c = kern.rk4_const_principal(E, hs, np.zeros((8, 3)), [0, 10, 40])
+    n_s, V_s = kern.rk4_sampled_principal(lambda t: E, ts_, np.zeros((8, 3)), [0, 10, 40])
+    np.testing.assert_allclose(n_s, n_c, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(V_s, V_c, rtol=1e-12, atol=0)
+    assert np.all(n_c[:, 2] == 0.0)  # a start beyond the last step never fires
 
 
 @pytest.mark.skipif(not HAVE_BOTH, reason="numba not installed")
@@ -96,21 +170,6 @@ def test_backends_agree(name):
     elif name == "assemble_comparison":
         delta, _ = kern.delta_gamma(A, alpha)
         args = (A, delta, iu, ju, pidx)
-    elif name == "rk4_const_linear":
-        E = np.ascontiguousarray(A[:3, :3]) - 2 * np.eye(3)
-        args = (E, np.ones(3), np.ones(3), 1e-2, 50)
-    elif name == "rk4_sampled_linear":
-        rng = np.random.default_rng(3)
-        Es = rng.normal(size=(20, 3, 4, 4)) - 3 * np.eye(4)
-        bs = rng.normal(size=(20, 3, 4)) ** 2
-        args = (Es, bs, np.full(20, 1e-2), np.ones(4))
-    elif name == "rk4_const_principal":
-        E = np.ascontiguousarray(A[:3, :3]) - 2 * np.eye(3)
-        args = (E, np.eye(3), 1e-2, 50)
-    elif name == "rk4_sampled_principal":
-        rng = np.random.default_rng(4)
-        Es = rng.normal(size=(20, 3, 4, 4)) - 3 * np.eye(4)
-        args = (Es, np.full(20, 1e-2), np.eye(4))
     else:  # pragma: no cover
         pytest.fail(f"no input recipe for kernel {name}")
     out_np = np_impl(*args)
