@@ -7,7 +7,6 @@ quantitative synchronization, cluster and persistence certificates, plus the
 dissipativity machinery that backs the ultimate-boundedness assumption.
 """
 
-from ._kernels import USE_NUMBA, backend
 from .attractors import (
     CoupledComparisonCheck,
     DissipativityData,

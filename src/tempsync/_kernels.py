@@ -1,41 +1,14 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Backend selection happens once, at import time.  The jitted path is used
-when numba is importable and ``SYNC_TOOLKIT_NO_NUMBA`` is unset (or "0");
-setting the variable to anything else forces the numpy fallback.  Both
-paths evaluate the same arithmetic on the same grids; they may differ in
-floating-point summation order at the few-ulp level, so determinism is
-guaranteed per backend, not across backends.
-
-The RK4 propagators of the linear comparison system are numpy only (their
-work is BLAS matrix products) and have no backend twin.
+The pair kernels (coupling term, pairwise-error reductions, the pair sums
+S and D behind delta and gamma, comparison matrix assembly) and the RK4
+propagators of the linear comparison system, whose work is BLAS matrix
+products.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _njit = None
-    _HAVE_NUMBA = False
-
-
-def _disabled_by_env() -> bool:
-    return os.environ.get("SYNC_TOOLKIT_NO_NUMBA", "").strip() not in ("", "0")
-
-
-USE_NUMBA = _HAVE_NUMBA and not _disabled_by_env()
-
-
-def backend() -> str:
-    """Name of the kernel backend selected at import ("numba" or "numpy")."""
-    return "numba" if USE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -78,109 +51,72 @@ def pair_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
+def _f64(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 # diffusive coupling:  row i of the result is  c * sum_k a_ik (x_k - x_i)
 # ---------------------------------------------------------------------------
 
-def _coupling_term_np(A, X, c):
-    return c * (A @ X - A.sum(axis=1)[:, None] * X)
-
-
-def _coupling_term_loops(A, X, c):
-    n, m = X.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for k in range(n):
-            a = A[i, k]
-            if a != 0.0:
-                for q in range(m):
-                    out[i, q] += a * (X[k, q] - X[i, q])
-    return c * out
+def coupling_term(A, X, c):
+    """c * sum_k a_ik (x_k - x_i) stacked over nodes; A (n, n), X (n, m)."""
+    A, X = _f64(A), _f64(X)
+    return float(c) * (A @ X - A.sum(axis=1)[:, None] * X)
 
 
 # ---------------------------------------------------------------------------
 # pairwise squared errors and the max-spread error over a trajectory
 # ---------------------------------------------------------------------------
 
-def _xi_series_np(states, iu, ju):
+def xi_series(states):
+    """(T, P) squared pairwise distances from a (T, n, m) state stack."""
+    states = _f64(states)
+    iu, ju, _ = pair_arrays(states.shape[1])
     d = states[:, iu, :] - states[:, ju, :]
     return np.einsum("tpm,tpm->tp", d, d)
 
 
-def _xi_series_loops(states, iu, ju):
-    T, _, m = states.shape
-    P = iu.shape[0]
-    out = np.empty((T, P))
-    for t in range(T):
-        for p in range(P):
-            s = 0.0
-            for q in range(m):
-                dv = states[t, iu[p], q] - states[t, ju[p], q]
-                s += dv * dv
-            out[t, p] = s
-    return out
-
-
-def _e_hat_series_np(states):
+def e_hat_series(states):
+    """Componentwise max-spread error sqrt(sum_q (max_i x_iq - min_i x_iq)^2)."""
+    states = _f64(states)
     spread = states.max(axis=1) - states.min(axis=1)
     return np.sqrt(np.einsum("tm,tm->t", spread, spread))
 
 
-def _e_hat_series_loops(states):
-    T, n, m = states.shape
-    out = np.empty(T)
-    for t in range(T):
-        acc = 0.0
-        for q in range(m):
-            lo = states[t, 0, q]
-            hi = lo
-            for i in range(1, n):
-                v = states[t, i, q]
-                if v < lo:
-                    lo = v
-                if v > hi:
-                    hi = v
-            acc += (hi - lo) * (hi - lo)
-        out[t] = np.sqrt(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# per-pair contraction rates and row-dominance margins
+# per-pair sums, contraction rates and row-dominance margins
 #
-#   delta_p = alpha_p - (a_ij + a_ji + 0.5 * sum_{k != i,j} (a_jk + a_ik))
-#   gamma_p = 2 |delta_p| - sum_{k != i,j} |a_jk - a_ik|
+#   S_p = a_ij + a_ji + 0.5 * sum_{k != i,j} (a_jk + a_ik)
+#   D_p = sum_{k in cols, k != i,j} |a_jk - a_ik|
+#   delta_p = alpha_p - S_p,   gamma_p = 2 |delta_p| - D_p
 # ---------------------------------------------------------------------------
 
-def _delta_gamma_np(A, alpha, iu, ju):
+def pair_sums(A, iu, ju, cols):
+    """Coupling sums S and cross-difference sums D for the pairs (iu, ju).
+
+    S runs over all nodes.  D runs over the node subset ``cols`` (all nodes
+    for the full-network margin) and sums only its own terms, never adding
+    and then subtracting |a_ij| and |a_ji|, so D >= 0 exactly.
+    """
+    A = _f64(A)
     rowsum = A.sum(axis=1)
     cross = A[iu, ju] + A[ju, iu]
-    delta = alpha - (cross + 0.5 * (rowsum[iu] + rowsum[ju] - cross))
-    absdiff = np.abs(A[ju, :] - A[iu, :]).sum(axis=1)
-    absdiff -= np.abs(A[ju, iu]) + np.abs(A[iu, ju])
-    gamma = 2.0 * np.abs(delta) - absdiff
-    return delta, gamma
+    S = cross + 0.5 * (rowsum[iu] + rowsum[ju] - cross)
+    absdiff = np.abs(A[ju] - A[iu])
+    rows = np.arange(len(iu))
+    absdiff[rows, iu] = 0.0   # the terms k = i and k = j are no terms of D
+    absdiff[rows, ju] = 0.0
+    return S, absdiff[:, cols].sum(axis=1)
 
 
-def _delta_gamma_loops(A, alpha, iu, ju):
-    P = iu.shape[0]
+def delta_gamma(A, alpha):
+    """Per-pair contraction rates and row-dominance margins at one instant."""
     n = A.shape[0]
-    delta = np.empty(P)
-    gamma = np.empty(P)
-    for p in range(P):
-        i = iu[p]
-        j = ju[p]
-        s = 0.0
-        d = 0.0
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            s += A[j, k] + A[i, k]
-            d += abs(A[j, k] - A[i, k])
-        dp = alpha[p] - (A[i, j] + A[j, i] + 0.5 * s)
-        delta[p] = dp
-        gamma[p] = 2.0 * abs(dp) - d
-    return delta, gamma
+    iu, ju, _ = pair_arrays(n)
+    S, D = pair_sums(A, iu, ju, np.arange(n))
+    delta = _f64(alpha) - S
+    return delta, 2.0 * np.abs(delta) - D
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +126,12 @@ def _delta_gamma_loops(A, alpha, iu, ju):
 # eta(a_ik - a_jk) on pair (j, k), k != i, j, with eta the positive part.
 # ---------------------------------------------------------------------------
 
-def _assemble_comparison_np(A, delta, iu, ju, pidx):
-    P = iu.shape[0]
+def assemble_comparison(A, delta):
+    """Comparison matrix: diagonal 2*delta, nonnegative off-diagonal parts."""
+    A = _f64(A)
     n = A.shape[0]
+    iu, ju, pidx = pair_arrays(n)
+    P = iu.shape[0]
     karr = np.arange(n)
     rows, ks = np.nonzero((karr[None, :] != iu[:, None]) & (karr[None, :] != ju[:, None]))
     d = A[ju[rows], ks] - A[iu[rows], ks]          # a_jk - a_ik, k != i, j
@@ -201,102 +140,14 @@ def _assemble_comparison_np(A, delta, iu, ju, pidx):
     # plain assignment places every coefficient
     E[rows, pidx[iu[rows], ks]] = np.maximum(d, 0.0)
     E[rows, pidx[ju[rows], ks]] = np.maximum(-d, 0.0)
-    E[np.arange(P), np.arange(P)] = 2.0 * delta
+    E[np.arange(P), np.arange(P)] = 2.0 * _f64(delta)
     return E
-
-
-def _assemble_comparison_loops(A, delta, iu, ju, pidx):
-    P = iu.shape[0]
-    n = A.shape[0]
-    E = np.zeros((P, P))
-    for p in range(P):
-        i = iu[p]
-        j = ju[p]
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            dv = A[j, k] - A[i, k]
-            if dv > 0.0:
-                E[p, pidx[i, k]] += dv
-            elif dv < 0.0:
-                E[p, pidx[j, k]] -= dv
-        E[p, p] = 2.0 * delta[p]
-    return E
-
-
-# ---------------------------------------------------------------------------
-# backend binding
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-    _jit = _njit(cache=True)
-    _coupling_term_nb = _jit(_coupling_term_loops)
-    _xi_series_nb = _jit(_xi_series_loops)
-    _e_hat_series_nb = _jit(_e_hat_series_loops)
-    _delta_gamma_nb = _jit(_delta_gamma_loops)
-    _assemble_comparison_nb = _jit(_assemble_comparison_loops)
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "coupling_term": _coupling_term_np,
-        "xi_series": _xi_series_np,
-        "e_hat_series": _e_hat_series_np,
-        "delta_gamma": _delta_gamma_np,
-        "assemble_comparison": _assemble_comparison_np,
-    }
-}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "coupling_term": _coupling_term_nb,
-        "xi_series": _xi_series_nb,
-        "e_hat_series": _e_hat_series_nb,
-        "delta_gamma": _delta_gamma_nb,
-        "assemble_comparison": _assemble_comparison_nb,
-    }
-
-_ACTIVE = IMPLEMENTATIONS["numba" if USE_NUMBA else "numpy"]
-
-
-def _f64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def coupling_term(A, X, c):
-    """c * sum_k a_ik (x_k - x_i) stacked over nodes; A (n, n), X (n, m)."""
-    return _ACTIVE["coupling_term"](_f64(A), _f64(X), float(c))
-
-
-def xi_series(states):
-    """(T, P) squared pairwise distances from a (T, n, m) state stack."""
-    n = states.shape[1]
-    iu, ju, _ = pair_arrays(n)
-    return _ACTIVE["xi_series"](_f64(states), iu, ju)
-
-
-def e_hat_series(states):
-    """Componentwise max-spread error sqrt(sum_q (max_i x_iq - min_i x_iq)^2)."""
-    return _ACTIVE["e_hat_series"](_f64(states))
-
-
-def delta_gamma(A, alpha):
-    """Per-pair contraction rates and row-dominance margins at one instant."""
-    n = A.shape[0]
-    iu, ju, _ = pair_arrays(n)
-    return _ACTIVE["delta_gamma"](_f64(A), _f64(alpha), iu, ju)
-
-
-def assemble_comparison(A, delta):
-    """Comparison matrix: diagonal 2*delta, nonnegative off-diagonal parts."""
-    n = A.shape[0]
-    iu, ju, pidx = pair_arrays(n)
-    return _ACTIVE["assemble_comparison"](_f64(A), _f64(delta), iu, ju, pidx)
 
 
 # ---------------------------------------------------------------------------
 # RK4 on linear comparison systems u' = E(t) u + b(t)
 #
-# These are numpy only: their work is BLAS matrix products.  On a frozen E
-# one RK4 step of size h is the affine map
+# On a frozen E one RK4 step of size h is the affine map
 #
 #   u <- R(hE) u + h Phi(hE) b,
 #   R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,   Phi(z) = 1 + z/2 + z^2/6 + z^3/24,

@@ -53,27 +53,15 @@ def evaluate_comparison(system: NetworkSystem, bounds: PairBoundSet, t: float):
     """
     if bounds.n_nodes != system.n_nodes:
         raise ValueError("bounds and system disagree on the number of nodes")
-    n = system.n_nodes
+    iu, ju, _ = kern.pair_arrays(system.n_nodes)
     A = system.global_coupling * system.schedule.sample(t)
-    iu, ju, _ = kern.pair_arrays(n)
-    alpha = np.array([bounds.alpha(i, j, t) for i, j in zip(iu, ju)])
+    return _comparison(A, bounds.alpha_vec(iu, ju, t))
+
+
+def _comparison(A, alpha):
+    """(E, delta, gamma) of the effective adjacency A and the pair rates alpha."""
     delta, gamma = kern.delta_gamma(A, alpha)
-    E = kern.assemble_comparison(A, delta)
-    return E, delta, gamma
-
-
-def _sd_arrays(A, iu, ju, cols):
-    """Coupling sums S and restricted cross-difference sums D per pair.
-
-    delta = alpha - S;  gamma = 2|delta| - D with the difference sum taken
-    over the node subset ``cols`` (all nodes for the full-network margin).
-    """
-    rowsum = A.sum(axis=1)
-    cross = A[iu, ju] + A[ju, iu]
-    S = cross + 0.5 * (rowsum[iu] + rowsum[ju] - cross)
-    sub = np.abs(A[ju][:, cols] - A[iu][:, cols]).sum(axis=1)
-    D = sub - np.abs(A[ju, iu]) - np.abs(A[iu, ju])
-    return S, D
+    return kern.assemble_comparison(A, delta), delta, gamma
 
 
 def _grid_delta_gamma(system, bounds, times, nodes):
@@ -92,11 +80,7 @@ def _grid_delta_gamma(system, bounds, times, nodes):
     P = len(iu)
     T = len(times)
     delta = np.empty((T, P))
-    gamma = np.empty((T, P))
-
-    def alpha_at(t):
-        return np.array([bounds.alpha(i, j, t) for i, j in zip(iu, ju)])
-
+    D = np.empty((T, P))
     segs = system.schedule.segments_between(times[0], times[-1] + 1e-12)
     starts = np.array([a for a, _, _ in segs])
     seg_of = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segs) - 1)
@@ -105,26 +89,17 @@ def _grid_delta_gamma(system, bounds, times, nodes):
         if idx.size == 0:
             continue
         if isinstance(piece, _ConstPiece):
-            A = c * piece.matrix
-            S, D = _sd_arrays(A, iu, ju, nodes)
+            S, D[idx] = kern.pair_sums(c * piece.matrix, iu, ju, nodes)
             if bounds.time_constant:
-                d = alpha_at(times[idx[0]]) - S
-                delta[idx] = d
-                gamma[idx] = 2.0 * np.abs(d) - D
+                delta[idx] = bounds.alpha_vec(iu, ju, times[idx[0]]) - S
             else:
                 for k in idx:
-                    d = alpha_at(times[k]) - S
-                    delta[k] = d
-                    gamma[k] = 2.0 * np.abs(d) - D
+                    delta[k] = bounds.alpha_vec(iu, ju, times[k]) - S
         else:
             for k in idx:
-                t = times[k]
-                A = c * piece(t)
-                S, D = _sd_arrays(A, iu, ju, nodes)
-                d = alpha_at(t) - S
-                delta[k] = d
-                gamma[k] = 2.0 * np.abs(d) - D
-    return delta, gamma, (iu, ju)
+                S, D[k] = kern.pair_sums(c * piece(times[k]), iu, ju, nodes)
+                delta[k] = bounds.alpha_vec(iu, ju, times[k]) - S
+    return delta, 2.0 * np.abs(delta) - D, (iu, ju)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +128,14 @@ def compute_mu1(bounds: PairBoundSet, window_grid, pairs=None) -> float:
     """
     if pairs is None:
         iu, ju, _ = kern.pair_arrays(bounds.n_nodes)
-        pairs = list(zip(iu.tolist(), ju.tolist()))
+    else:
+        iu, ju = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     times = np.asarray(window_grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("window_grid must contain at least two times")
 
     def norm_at(t):
-        v = np.array([2.0 * bounds.beta(i, j, t) for i, j in pairs])
+        v = 2.0 * bounds.beta_vec(iu, ju, t)
         return float(np.sqrt(np.dot(v, v)))
 
     if bounds.time_constant:
@@ -227,20 +203,10 @@ class ComparisonSystem:
             raise ValueError("bounds and system disagree on the number of nodes")
         n = system.n_nodes
         iu, ju, _ = kern.pair_arrays(n)
-
-        def E(t):
-            A = system.global_coupling * system.schedule.sample(t)
-            alpha = np.array([bounds.alpha(i, j, t) for i, j in zip(iu, ju)])
-            delta, _ = kern.delta_gamma(A, alpha)
-            return kern.assemble_comparison(A, delta)
-
-        def beta_vec(t):
-            return np.array([2.0 * bounds.beta(i, j, t) for i, j in zip(iu, ju)])
-
         cs = cls(
             kern.n_pairs(n),
-            E,
-            beta_vec,
+            lambda t: evaluate_comparison(system, bounds, t)[0],
+            lambda t: 2.0 * bounds.beta_vec(iu, ju, t),
             piecewise_constant=(
                 system.schedule.is_piecewise_constant and bounds.time_constant
             ),
@@ -266,11 +232,7 @@ class ComparisonSystem:
             for a, b, piece in self._system.schedule.segments_between(t0, t1):
                 def E_fn(t, piece=piece):
                     A = c * np.asarray(piece(t), dtype=float)
-                    alpha = np.array(
-                        [bounds.alpha(i, j, t) for i, j in zip(iu, ju)]
-                    )
-                    delta, _ = kern.delta_gamma(A, alpha)
-                    return kern.assemble_comparison(A, delta)
+                    return _comparison(A, bounds.alpha_vec(iu, ju, t))[0]
 
                 is_const = isinstance(piece, _ConstPiece) and bounds.time_constant
                 out.append((a, b, E_fn, self.beta_vec, is_const))
@@ -294,9 +256,11 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
                      cfg: SolverConfig | None = None) -> ComparisonTrajectory:
     """Integrate the comparison system from a nonnegative initial vector.
 
-    Fixed-step RK4 split at breakpoints; the output is clipped at zero,
-    which only tightens nothing (the exact solution stays in the cone, and
-    clipping can only raise the dominating process).
+    Fixed-step RK4 split at breakpoints.  Every E used must be Metzler
+    (nonnegative off the diagonal), so that the exact solution stays in the
+    positive cone; a sampled E with a negative off-diagonal entry raises
+    ValueError naming the time and entry.  The output is clipped at zero,
+    which then only removes rounding below zero.
     """
     cfg = cfg or SolverConfig()
     u0 = np.asarray(xi0, dtype=float).reshape(cs.dim)
@@ -312,11 +276,13 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
         n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
         h = (b - a) / n_steps
         if is_const:
-            out = kern.rk4_const_linear(E_fn(a), b_fn(a), u, h, n_steps)
+            out = kern.rk4_const_linear(_metzler(E_fn(a), a), b_fn(a), u, h, n_steps)
         else:
             ts = a + h * np.arange(n_steps + 1)
             ts[-1] = b
-            out = kern.rk4_sampled_linear(E_fn, b_fn, ts, u)
+            out = kern.rk4_sampled_linear(
+                lambda t, E_fn=E_fn: _metzler(E_fn(t), t), b_fn, ts, u
+            )
         u = out[-1]
         for s in range(1, n_steps + 1):
             count += 1
@@ -372,7 +338,7 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
             continue
         sample_at = [grid[idx[0]]] if is_const else grid[idx]
         for t in sample_at:
-            margins = -cs_row_sums(_metzler(E_fn(t), t))
+            margins = -_metzler(E_fn(t), t).sum(axis=1)
             gamma_bar = min(gamma_bar, float(margins.min()))
     if gamma_bar <= 0:
         return DecayCheck(gamma_bar, False, np.inf, [])
@@ -391,10 +357,6 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
         if ratio > 1.0 + tol:
             verified = False
     return DecayCheck(gamma_bar, verified, max_ratio, [float(grid[i]) for i in anchor_idx])
-
-
-def cs_row_sums(E: np.ndarray) -> np.ndarray:
-    return E.sum(axis=1)
 
 
 def _metzler(E: np.ndarray, t: float) -> np.ndarray:
@@ -766,7 +728,7 @@ def static_threshold(A_static, l_rho: float) -> float:
     np.fill_diagonal(A, 0.0)
     n = A.shape[0]
     iu, ju, _ = kern.pair_arrays(n)
-    S, D = _sd_arrays(A, iu, ju, np.arange(n))
+    S, D = kern.pair_sums(A, iu, ju, np.arange(n))
     hyp = 2.0 * S - D
     bad = np.nonzero(hyp <= 0)[0]
     if bad.size:

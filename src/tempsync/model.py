@@ -327,6 +327,30 @@ class PairBoundSet:
             raise ValueError(f"beta({i}, {j}, {t}) = {v} is negative")
         return v
 
+    def _ordered(self, iu, ju):
+        """The pairs (iu[p], ju[p]) as (min, max) int lists, validated at once."""
+        iu, ju = np.asarray(iu, dtype=np.int64), np.asarray(ju, dtype=np.int64)
+        lo, hi = np.minimum(iu, ju), np.maximum(iu, ju)
+        bad = np.nonzero((lo < 0) | (hi >= self.n_nodes) | (lo == hi))[0]
+        if bad.size:
+            self._order(int(iu[bad[0]]), int(ju[bad[0]]))  # raises, naming the pair
+        return lo.tolist(), hi.tolist()
+
+    def alpha_vec(self, iu, ju, t: float) -> np.ndarray:
+        """alpha(iu[p], ju[p], t) for every p, as one vector."""
+        lo, hi = self._ordered(iu, ju)
+        return np.array([float(self._alpha(i, j, t)) for i, j in zip(lo, hi)])
+
+    def beta_vec(self, iu, ju, t: float) -> np.ndarray:
+        """beta(iu[p], ju[p], t) for every p; a negative value raises."""
+        lo, hi = self._ordered(iu, ju)
+        v = np.array([float(self._beta(i, j, t)) for i, j in zip(lo, hi)])
+        neg = np.nonzero(v < 0)[0]
+        if neg.size:
+            p = int(neg[0])
+            raise ValueError(f"beta({lo[p]}, {hi[p]}, {t}) = {v[p]} is negative")
+        return v
+
     @classmethod
     def constant(cls, n_nodes, alpha, beta, rho, global_bounds=True):
         """Time-constant bounds; alpha, beta may be scalars or (n, n) arrays."""

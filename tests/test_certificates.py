@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import tempsync as ts
-from tempsync._kernels import pair_arrays, pair_index
-from tempsync.certificates import ComparisonSystem
+from tempsync._kernels import pair_arrays, pair_index, pair_sums
+from tempsync.certificates import ComparisonSystem, _grid_delta_gamma
 
 
 def _zero_system(A, c=1.0):
@@ -89,6 +89,21 @@ def test_ring_direct_values_match_hand_derivation():
     assert abs(delta[pair_index(0, 2, n)] - (-(a12 / 2 + 1.5 - a))) < 1e-14
     assert abs(delta[pair_index(1, 2, n)] - (-(4.0 - a))) < 1e-14
     assert abs(gamma[pair_index(1, 2, n)] - (2 * abs(4.0 - a) - 2.0)) < 1e-14
+
+
+def test_pointwise_gamma_matches_certificate_grid_bit_for_bit():
+    # delta and gamma have one formula site: the instant evaluation and the
+    # certificate grid give the same bits on sparse signed networks
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        A = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
+        system = _zero_system(A, c=float(rng.uniform(0.5, 2.0)))
+        bounds = ts.PairBoundSet.constant(n, rng.normal(size=(n, n)), 0.0, rho=1.0)
+        _, delta, gamma = ts.evaluate_comparison(system, bounds, 0.0)
+        g_delta, g_gamma, _ = _grid_delta_gamma(system, bounds, np.array([0.0, 0.5]), range(n))
+        assert np.array_equal(g_delta[0], delta)
+        assert np.array_equal(g_gamma[0], gamma)
 
 
 # -- window bounds -----------------------------------------------------------
@@ -236,6 +251,16 @@ def test_decay_check_not_dominant_returns_false():
     cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)
     chk = ts.dominance_decay_check(cs, np.linspace(0, 2, 101))
     assert chk.gamma_bar < 0 and not chk.verified
+
+
+def test_comparison_solve_rejects_non_metzler_e():
+    # with u0 = (0, 1) the first component turns negative at once; clipping
+    # the output at zero would hide that the cone argument does not hold
+    E = np.array([[-0.1, -2.0], [0.0, -0.1]])
+    for const in (False, True):
+        cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=const)
+        with pytest.raises(ValueError, match=r"t=0 is not Metzler: entry \(1, 2\) = -2"):
+            ts.comparison_solve(cs, 0.0, np.array([0.0, 1.0]), 2.0)
 
 
 def test_decay_check_rejects_non_metzler_e():
@@ -447,9 +472,8 @@ def test_static_threshold_star_cases():
     c_bar = ts.static_threshold(feasible, 1.0)
     assert np.isfinite(c_bar) and c_bar > 0
     # beyond the threshold both inequality families hold
-    from tempsync.certificates import _sd_arrays
     iu, ju, _ = pair_arrays(5)
-    S, D = _sd_arrays(feasible, iu, ju, np.arange(5))
+    S, D = pair_sums(feasible, iu, ju, np.arange(5))
     for c in (c_bar * 1.001, c_bar * 10):
         d = 1.0 - c * S
         g = 2 * np.abs(d) - c * D
@@ -460,21 +484,27 @@ def test_static_threshold_star_cases():
 
 
 def test_static_threshold_on_rounded_feasibility_boundary():
-    # Pair (1, 2) has 2 S - D = 2(0.6 - 0.6) + 2 min(0, 0.7) = 0 in exact
-    # arithmetic, but the rounded sums leave a positive value near 1e-16.
-    # The closed form returns the huge finite threshold 2 l / (2 S - D) at
-    # once, where a bisection to an absolute width of 1e-9 near c = 1e16
-    # never ends.
-    A = [[0.0, 0.6, 0.0, 0.0], [-0.6, 0.0, 0.7, 0.0],
-         [0.7, 0.7, 0.0, 1.3], [0.1, 0.7, 0.0, 0.0]]
+    # Pair (1, 2) has 2 S - D = 2(-0.2 - 0.5) + 2(min(0.9, 0.9) +
+    # min(-0.2, 0.2)) = 0 in exact arithmetic, but the rounded coupling sum S
+    # leaves a positive value near 1e-16.  The closed form returns the huge
+    # finite threshold 2 l / (2 S - D) at once, where a bisection to an
+    # absolute width of 1e-9 near c = 1e16 never ends.
+    A = [[0.0, -0.2, 0.9, -0.2], [-0.5, 0.0, 0.9, 0.2],
+         [1.0, 0.7, 0.0, -0.3], [1.2, 0.0, 0.9, 0.0]]
     c_bar = ts.static_threshold(A, 1.0)
     assert math.isfinite(c_bar) and c_bar > 1e15
     assert ts.static_threshold(A, 0.0) == 0.0
     # the threshold is the largest per-pair bound, set by the boundary pair
-    from tempsync.certificates import _sd_arrays
     iu, ju, _ = pair_arrays(4)
-    S, D = _sd_arrays(np.array(A), iu, ju, np.arange(4))
+    S, D = pair_sums(np.array(A), iu, ju, np.arange(4))
     assert c_bar == 2.0 / (2.0 * S[0] - D[0])
+    # here D sums its terms directly and S is exact, so the zero is exact and
+    # the pair is infeasible
+    A = [[0.0, 0.6, 0.0, 0.0], [-0.6, 0.0, 0.7, 0.0],
+         [0.7, 0.7, 0.0, 1.3], [0.1, 0.7, 0.0, 0.0]]
+    with pytest.raises(ts.InfeasibleTopologyError) as exc:
+        ts.static_threshold(A, 1.0)
+    assert exc.value.pair == (1, 2) and exc.value.value == 0.0
 
 
 # -- cluster certificates ----------------------------------------------------

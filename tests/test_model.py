@@ -155,6 +155,9 @@ def test_identical_node_bounds_are_lipschitz_with_zero_beta():
                     continue
                 assert b.alpha(i, j, t) == 1.0
                 assert b.beta(i, j, t) == 0.0
+        iu, ju = np.triu_indices(4, k=1)
+        assert np.array_equal(b.alpha_vec(iu, ju, t), np.ones(6))
+        assert np.array_equal(b.beta_vec(ju, iu, t), np.zeros(6))
     assert b.time_constant and b.global_bounds
 
 
@@ -168,6 +171,8 @@ def test_callable_lipschitz_bound_uses_rho():
     b = ts.pair_bounds_for_identical_nodes(3, lambda t, r: r + t, rho=2.0)
     assert b.alpha(0, 1, 1.0) == 3.0
     assert b.beta(2, 0, 1.0) == 0.0
+    assert np.array_equal(b.alpha_vec([0, 2], [1, 0], 1.0), [3.0, 3.0])
+    assert np.array_equal(b.beta_vec([0, 2], [1, 0], 1.0), [0.0, 0.0])
 
 
 def test_pair_bounds_symmetric_access_and_validation():
@@ -178,13 +183,25 @@ def test_pair_bounds_symmetric_access_and_validation():
         for j in range(3):
             if i != j:
                 assert b.alpha(i, j, 0.0) == b.alpha(j, i, 0.0)
+    iu, ju = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 0])
+    expected = [b.alpha(i, j, 0.0) for i, j in zip(iu, ju)]
+    assert np.array_equal(b.alpha_vec(iu, ju, 0.0), expected)
+    assert np.array_equal(b.alpha_vec(ju, iu, 0.0), expected)
+    assert np.array_equal(b.beta_vec(iu, ju, 0.0), np.full(4, 0.1))
     with pytest.raises(ValueError):
         b.alpha(0, 0, 0.0)
+    with pytest.raises(ValueError, match=r"invalid pair \(1, 1\)"):
+        b.alpha_vec([0, 1], [1, 1], 0.0)
+    with pytest.raises(ValueError, match=r"invalid pair \(0, 3\)"):
+        b.beta_vec([0, 0], [1, 3], 0.0)
     with pytest.raises(ValueError):
         ts.PairBoundSet.constant(3, 0.0, -1.0, rho=1.0)
     bad = ts.PairBoundSet(3, 1.0, lambda i, j, t: 0.0, lambda i, j, t: -t)
     with pytest.raises(ValueError):
         bad.beta(0, 1, 1.0)
+    assert np.array_equal(bad.beta_vec([0, 1], [1, 2], 0.0), [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"beta\(0, 1, 1\.0\) = -1\.0 is negative"):
+        bad.beta_vec([1, 2], [0, 1], 1.0)
 
 
 def test_cluster_spec_validation():
