@@ -56,13 +56,20 @@ def _f64(a):
 
 
 # ---------------------------------------------------------------------------
-# diffusive coupling:  row i of the result is  c * sum_k a_ik (x_k - x_i)
+# diffusive coupling:  row i of c L X is  c * sum_k a_ik (x_k - x_i),
+# with L = A - diag(A 1) the graph Laplacian of A
 # ---------------------------------------------------------------------------
 
-def coupling_term(A, X, c):
-    """c * sum_k a_ik (x_k - x_i) stacked over nodes; A (n, n), X (n, m)."""
-    A, X = _f64(A), _f64(X)
-    return float(c) * (A @ X - A.sum(axis=1)[:, None] * X)
+def laplacian(A):
+    """Graph Laplacian A - diag(A 1) of an (n, n) adjacency matrix."""
+    L = np.array(A, dtype=np.float64, order="C")
+    L.reshape(-1)[:: L.shape[0] + 1] -= L.sum(axis=1)  # the diagonal, as a view
+    return L
+
+
+def coupling_term(L, X, c):
+    """c * sum_k a_ik (x_k - x_i) stacked over nodes, as c L X; L (n, n), X (n, m)."""
+    return float(c) * (L @ X)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kern
-from .model import NetworkSystem
+from .model import NetworkSystem, _ConstPiece
 
 
 class IntegrationError(RuntimeError):
@@ -98,11 +98,12 @@ class ErrorSeries:
 
 
 def _write_csv(path, header, times, body) -> None:
+    # one %-format per row, built once per file; "%.17g" % v == format(v, ".17g")
+    fmt = ",".join(["%.17g"] * (1 + body.shape[1])) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for t, row in zip(times, body):
-            cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
-            fh.write(",".join(cells) + "\n")
+            fh.write(fmt % (t, *row.tolist()))
 
 
 def coupled_rhs(system: NetworkSystem, t: float, x: np.ndarray) -> np.ndarray:
@@ -114,19 +115,41 @@ def coupled_rhs(system: NetworkSystem, t: float, x: np.ndarray) -> np.ndarray:
     """
     n, m = system.n_nodes, system.state_dim
     X = np.asarray(x, dtype=float).reshape(n, m)
-    A = system.schedule.sample(t)
-    out = _full_rhs(system, A, t, X)
-    return out.reshape(n * m)
+    return _stages(system, system.schedule.sample)(t, X).reshape(n * m)
 
 
-def _full_rhs(system: NetworkSystem, A: np.ndarray, t: float, X: np.ndarray) -> np.ndarray:
-    F = system.eval_nodes(t, X)
-    if not np.isfinite(F).all():
-        bad = int(np.nonzero(~np.isfinite(F).all(axis=1))[0][0])
-        raise IntegrationError(
-            f"node {bad} produced a non-finite field value at t={t}", t, node=bad
-        )
-    return F + kern.coupling_term(A, X, system.global_coupling)
+def _stages(system: NetworkSystem, piece):
+    """The coupled field (t, X) -> F(t, X) + c L(t) X while ``piece`` is active.
+
+    The graph Laplacian L of the piece's adjacency is built once for a
+    constant piece, and once per distinct sample time otherwise (RK4's two
+    midpoint stages share one sample).  The node fields are checked finite
+    before the coupling product, so a fault names its node and stage time.
+    """
+    c = system.global_coupling
+    if isinstance(piece, _ConstPiece):
+        L = kern.laplacian(piece.matrix)
+
+        def laplacian_at(t):
+            return L
+    else:
+        last = [None, None]  # (time, Laplacian) of the latest sample
+
+        def laplacian_at(t):
+            if last[0] != t:
+                last[:] = t, kern.laplacian(piece(t))
+            return last[1]
+
+    def stage(t, X):
+        F = system.eval_nodes(t, X)
+        if not np.isfinite(F).all():
+            bad = int(np.nonzero(~np.isfinite(F).all(axis=1))[0][0])
+            raise IntegrationError(
+                f"node {bad} produced a non-finite field value at t={t}", t, node=bad
+            )
+        return F + kern.coupling_term(laplacian_at(t), X, c)
+
+    return stage
 
 
 class _Recorder:
@@ -154,21 +177,24 @@ def _check_finite(t: float, X: np.ndarray) -> None:
         raise IntegrationError(f"state became non-finite at t={t}", t)
 
 
+def _rk4_step(f, t, X, h):
+    """One classical RK4 step of x' = f(t, x) from (t, X)."""
+    k1 = f(t, X)
+    k2 = f(t + 0.5 * h, X + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, X + 0.5 * h * k2)
+    k4 = f(t + h, X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_segment(system, piece, a, b, dt, rec):
     """Fixed RK4 over [a, b] with a uniform step <= dt that lands on b."""
     n_steps = max(1, int(np.ceil((b - a) / dt - 1e-12)))
     h = (b - a) / n_steps
-    X = rec.states[-1].copy()
+    f = _stages(system, piece)
+    X = rec.states[-1]
     t = a
     for s in range(n_steps):
-        A0 = piece(t)
-        Am = piece(t + 0.5 * h)
-        A1 = piece(t + h)
-        k1 = _full_rhs(system, A0, t, X)
-        k2 = _full_rhs(system, Am, t + 0.5 * h, X + 0.5 * h * k1)
-        k3 = _full_rhs(system, Am, t + 0.5 * h, X + 0.5 * h * k2)
-        k4 = _full_rhs(system, A1, t + h, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        X = _rk4_step(f, t, X, h)
         t = a + (s + 1) * h if s + 1 < n_steps else b
         _check_finite(t, X)
         rec.step_done(t, X, force=(s + 1 == n_steps))
@@ -176,39 +202,38 @@ def _rk4_segment(system, piece, a, b, dt, rec):
 
 
 # Runge-Kutta-Fehlberg 4(5) tableau; the 5th-order solution is propagated.
+# Row s of _RKF_A weights the earlier stages in stage s's input; _RKF_E holds
+# the exact differences B5 - B4 of the two solutions' weights.
 _RKF_C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
-_RKF_A = [
-    np.array([]),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-]
+_RKF_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0],
+    [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0],
+    [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0],
+])
 _RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
+_RKF_E = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
 
 
 def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
+    f = _stages(system, piece)
     t = a
-    X = rec.states[-1].copy()
+    X = rec.states[-1]
+    K = np.empty((6,) + X.shape)  # stage buffer; Kf views it as (6, n*m)
+    Kf = K.reshape(6, -1)
     h = min(h_start, b - a)
-    k = [None] * 6
     while t < b - 1e-14 * max(1.0, abs(b)):
         h = min(h, b - t)
         if h < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}", t)
-        for s in range(6):
-            ts = t + _RKF_C[s] * h
-            Xs = X.copy()
-            for q in range(s):
-                if _RKF_A[s][q] != 0.0:
-                    Xs += h * _RKF_A[s][q] * k[q]
-            k[s] = _full_rhs(system, piece(ts), ts, Xs)
-        X5 = X + h * sum(_RKF_B5[s] * k[s] for s in range(6))
-        X4 = X + h * sum(_RKF_B4[s] * k[s] for s in range(6))
+        K[0] = f(t, X)
+        for s in range(1, 6):
+            K[s] = f(t + _RKF_C[s] * h, X + ((h * _RKF_A[s, :s]) @ Kf[:s]).reshape(X.shape))
+        X5 = X + ((h * _RKF_B5) @ Kf).reshape(X.shape)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(X), np.abs(X5))
-        err = np.sqrt(np.mean(((X5 - X4) / scale) ** 2))
+        err = np.sqrt(np.mean(((h * _RKF_E) @ Kf / scale.reshape(-1)) ** 2))
         if err > 1.0 and h <= 1e-12:
             raise IntegrationError(
                 f"step of size {h:.3g} at t={t} rejected (error ratio {err:.3g}); "
@@ -271,12 +296,12 @@ def rk4_span(rhs, t0: float, x0, t1: float, dt: float) -> np.ndarray:
         return x
     n_steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
     h = (t1 - t0) / n_steps
+
+    def f(t, x):
+        return np.asarray(rhs(t, x), dtype=float)
+
     t = t0
     for _ in range(n_steps):
-        k1 = np.asarray(rhs(t, x), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(f, t, x, h)
         t += h
     return x

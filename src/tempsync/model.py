@@ -175,9 +175,10 @@ class AdjacencySchedule:
     def segments_between(self, t0: float, t1: float):
         """Maximal subintervals of [t0, t1] on which a single piece is active.
 
-        Returns a list of (a, b, piece) with a < b covering [t0, t1].  The
-        piece callable expects the folded time for periodic schedules, so
-        entries carry a closure that folds internally.
+        Returns a list of (a, b, piece) with a < b covering [t0, t1].  A
+        constant piece is returned as is, since it ignores t.  A functional
+        piece expects the folded time on periodic schedules and before the
+        first breakpoint, so there its entry is a closure that folds.
         """
         if t1 <= t0:
             raise ValueError("need t1 > t0")
@@ -201,7 +202,9 @@ class AdjacencySchedule:
         out = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             piece, tau_a = self._piece_at(a)
-            if self.extension == "periodic":
+            if isinstance(piece, _ConstPiece):
+                out.append((a, b, piece))
+            elif self.extension == "periodic":
                 # translate into the piece's base interval so evaluation at
                 # the segment's right endpoint stays on this piece (left
                 # limit) instead of wrapping to the next period

@@ -137,9 +137,10 @@ def _vdp_system(n_nodes, delta_t, c, horizon, rng, eps0, density):
     def stacked(t, X):
         u = X[:, 0]
         v = X[:, 1]
-        du = v + b * u - u ** 3 / 3.0
-        dv = -eps0 * (1.0 + 0.5 * np.sin(omega * t)) * u
-        return np.column_stack([du, dv])
+        out = np.empty_like(X)
+        out[:, 0] = v + b * u - u ** 3 / 3.0
+        out[:, 1] = -eps0 * (1.0 + 0.5 * np.sin(omega * t)) * u
+        return out
 
     def node(i):
         def rhs(t, x):
@@ -387,9 +388,10 @@ def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density, eps=0.05
     def stacked(t, X):
         x = X[:, 0]
         y = X[:, 1]
-        dx = cpar * x - x ** 3 - y + ipar
-        dy = eps * (x + apar - bpar * y)
-        return np.column_stack([dx, dy])
+        out = np.empty_like(X)
+        out[:, 0] = cpar * x - x ** 3 - y + ipar
+        out[:, 1] = eps * (x + apar - bpar * y)
+        return out
 
     def node(i):
         def rhs(t, s):
@@ -550,9 +552,11 @@ def _lorenz_system(n_nodes, schedule, c, rng, heterogeneous):
 
     def stacked(t, X):
         x, y, z = X[:, 0], X[:, 1], X[:, 2]
-        return np.column_stack(
-            [sigma * (y - x), x * (rho - z) - y, x * y - beta * z]
-        )
+        out = np.empty_like(X)
+        out[:, 0] = sigma * (y - x)
+        out[:, 1] = x * (rho - z) - y
+        out[:, 2] = x * y - beta * z
+        return out
 
     def node(i):
         def rhs(t, s):

@@ -1,11 +1,15 @@
 """Integrator contracts: closed forms, breakpoint alignment, error series."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tempsync as ts
+from tempsync import _kernels as kern
+from tempsync.integrate import _RKF_E, _write_csv
+from tempsync.model import _ConstPiece
 
 
 def _consensus_pair(w=1.0):
@@ -211,6 +215,8 @@ def test_periodic_schedule_integrates_like_unrolled():
     )
     x0 = np.array([[1.0], [-0.5]])
     cfg = ts.SolverConfig(dt=1e-3)
+    assert all(isinstance(piece, _ConstPiece)
+               for _, _, piece in periodic.segments_between(-1.5, 4.0))
     sys_p = ts.NetworkSystem([ts.zero_dynamics(1)] * 2, periodic)
     sys_u = ts.NetworkSystem([ts.zero_dynamics(1)] * 2, unrolled)
     end_p = ts.integrate(sys_p, 0.0, x0, 4.0, cfg).final_state()
@@ -227,3 +233,157 @@ def test_solver_config_validation():
         ts.SolverConfig(record_stride=0)
     with pytest.raises(ValueError):
         ts.integrate(_consensus_pair(), 1.0, np.zeros((2, 1)), 1.0, ts.SolverConfig())
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    times = np.array([0.0, -0.0, 5e-324])
+    body = np.array([[-0.0, math.inf, 1.0 / 3.0],
+                     [-math.inf, math.nan, 5e-324],
+                     [1e300, -2.5e-17, 0.1]])
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["t", "a", "b", "c"], times, body)
+    want = "t,a,b,c\n" + "".join(
+        ",".join(format(v, ".17g") for v in [t, *row]) + "\n"
+        for t, row in zip(times.tolist(), body.tolist()))
+    assert path.read_bytes() == want.encode()
+
+
+# -- the Laplacian stage form against the per-stage formula it replaces -----
+
+_FEHLBERG = (  # (c_s, a_s*, b5_s) of RKF45, stage by stage
+    (0.0, (), 16 / 135),
+    (1 / 4, (1 / 4,), 0.0),
+    (3 / 8, (3 / 32, 9 / 32), 6656 / 12825),
+    (12 / 13, (1932 / 2197, -7200 / 2197, 7296 / 2197), 28561 / 56430),
+    (1.0, (439 / 216, -8.0, 3680 / 513, -845 / 4104), -9 / 50),
+    (1 / 2, (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40), 2 / 55),
+)
+
+
+def _reference_replay(system, method, traj):
+    """Re-take every recorded step of ``traj`` from its start, one stage at a
+    time, with the coupling as c (A X - (A 1) X) and A sampled per stage.
+
+    Replaying the accepted steps keeps RKF45's step-size choice, which
+    follows the rounding of its error estimate, out of the comparison.
+    """
+    c = system.global_coupling
+    segs = system.schedule.segments_between(traj.times[0], traj.times[-1])
+    X = traj.states[0]
+    out = [X]
+    for t, t_next in zip(traj.times[:-1], traj.times[1:]):
+        piece = next(p for a, b, p in segs if a <= t < b)
+
+        def f(t, X):
+            A = piece(t)
+            return system.eval_nodes(t, X) + c * (A @ X - A.sum(axis=1)[:, None] * X)
+
+        h = t_next - t
+        if method == "rk4":
+            k1 = f(t, X)
+            k2 = f(t + 0.5 * h, X + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, X + 0.5 * h * k2)
+            k4 = f(t + h, X + h * k3)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            ks = []
+            for cs, row, _ in _FEHLBERG:
+                Xs = X.copy()
+                for a, k in zip(row, ks):
+                    Xs += h * a * k
+                ks.append(f(t + cs * h, Xs))
+            X = X + h * sum(b5 * k for (_, _, b5), k in zip(_FEHLBERG, ks))
+        out.append(X)
+    return np.array(out)
+
+
+def test_rkf45_error_weights_are_b5_minus_b4():
+    b5 = [Fraction(16, 135), 0, Fraction(6656, 12825), Fraction(28561, 56430),
+          Fraction(-9, 50), Fraction(2, 55)]
+    b4 = [Fraction(25, 216), 0, Fraction(1408, 2565), Fraction(2197, 4104),
+          Fraction(-1, 5), 0]
+    assert _RKF_E.tolist() == [float(x - y) for x, y in zip(b5, b4)]
+
+
+def _signed(rng, n):
+    return rng.uniform(-0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+
+
+def _schedule(kind, rng, n):
+    M = [_signed(rng, n) for _ in range(3)]
+    if kind == "constant":
+        return ts.build_switching_schedule(n, [(0.0, M[0]), (0.37, M[1]), (0.9, M[2])])
+    wobble = np.sin(rng.uniform(1.0, 4.0, (n, n)))
+
+    def func(t, M=M[1]):
+        return M * (1.0 + 0.3 * np.sin(3.0 * t + wobble))
+
+    if kind == "functional":
+        return ts.AdjacencySchedule(n, [0.0, 0.55, 1.1], [M[0], func, M[2]])
+    return ts.AdjacencySchedule(n, [0.0, 0.3], [M[0], func],
+                                extension="periodic", period=0.7)
+
+
+@pytest.mark.parametrize("n", [4, 10, 30])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_laplacian_stages_match_per_stage_formula(n, method):
+    rng = np.random.default_rng(100 + n)
+    cfg = ts.SolverConfig(method=method, dt=2.0 ** -6, rtol=1e-8, atol=1e-10)
+    for m in (1, 2, 3):
+        for kind in ("constant", "functional", "periodic"):
+            phase = rng.uniform(0.0, 3.0, (n, m))
+            system = ts.NetworkSystem(
+                [ts.zero_dynamics(m)] * n, _schedule(kind, rng, n),
+                global_coupling=0.4,
+                stacked_rhs=lambda t, X, p=phase: 0.5 * X - X ** 3 + np.sin(t + p),
+            )
+            traj = ts.integrate(system, 0.0, rng.uniform(-1.0, 1.0, (n, m)), 2.0, cfg)
+            ref = _reference_replay(system, method, traj)
+            tol = 1e-12 * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(traj.states - ref) <= tol), (m, kind)
+
+
+def test_fixed_step_field_evaluations_are_four_per_step(monkeypatch):
+    calls = {"eval_nodes": 0, "coupling_term": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ts.NetworkSystem, "eval_nodes",
+                        counted("eval_nodes", ts.NetworkSystem.eval_nodes))
+    monkeypatch.setattr(kern, "coupling_term", counted("coupling_term", kern.coupling_term))
+    rng = np.random.default_rng(7)
+    breaks = [0.0, 0.37, 0.9, 1.4]
+    sched = ts.build_switching_schedule(5, [(b, _signed(rng, 5)) for b in breaks])
+    system = ts.NetworkSystem([ts.zero_dynamics(2)] * 5, sched,
+                              stacked_rhs=lambda t, X: -X)
+    dt = 2.0 ** -7
+    ts.integrate(system, 0.0, rng.normal(size=(5, 2)), 2.0, ts.SolverConfig(dt=dt))
+    ends = breaks + [2.0]
+    expected = 4 * sum(math.ceil((Fraction(b) - Fraction(a)) / Fraction(dt))
+                       for a, b in zip(ends[:-1], ends[1:]))
+    assert calls == {"eval_nodes": expected, "coupling_term": expected}
+
+
+def test_rk45_zero_weight_stage_fault_names_node_and_stage_time():
+    # stage 2 of RKF45 has weight 0 in the propagated 5th-order solution,
+    # so only the per-stage check can catch a fault that appears there
+    count = [0]
+
+    def field(t, X):
+        count[0] += 1
+        out = -X
+        if count[0] == 2:
+            out = out.copy()
+            out[2] = math.nan
+        return out
+
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * 4,
+                              ts.static_schedule(np.ones((4, 4))), stacked_rhs=field)
+    cfg = ts.SolverConfig(method="rk45", dt=0.1)
+    with pytest.raises(ts.IntegrationError, match=r"node 2 .* t=0\.025") as exc:
+        ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, cfg)
+    assert exc.value.node == 2 and exc.value.t_last == 0.025

@@ -41,7 +41,7 @@ def test_coupling_vanishes_on_consensus_states():
     np.fill_diagonal(A, 0.0)
     v = rng.normal(size=3)
     X = np.tile(v, (5, 1))
-    out = kern.coupling_term(A, X, 2.0)
+    out = kern.coupling_term(kern.laplacian(A), X, 2.0)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
