@@ -56,6 +56,7 @@ from .model import (
     ClusterSpec,
     NetworkSystem,
     NodeDynamics,
+    NodeField,
     PairBoundSet,
     ScheduleDomainError,
     build_switching_schedule,

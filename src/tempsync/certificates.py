@@ -559,13 +559,14 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
     gamma_bar = float(gamma.min())
 
     verdict = Verdict("holds")
-    bad = np.argwhere(delta > -margin)
+    bad = np.argwhere(delta > -margin)  # row-major: (time, pair) lexicographic order
     if bad.size:
-        k, p = bad[np.lexsort((bad[:, 1], bad[:, 0]))][0]
+        k, p = bad[0]
         verdict = Verdict("fails", "delta", (int(iu[p]), int(ju[p])), float(times[k]))
     elif gamma_bar < threshold + margin:
-        flat = np.argmin(gamma)  # first minimiser in (time, pair) lexicographic order
-        k, p = np.unravel_index(flat, gamma.shape)
+        # the tie band of check_full_sync's docstring; 4|delta| - gamma = 2|delta| + D
+        band = 8.0 * N * np.finfo(float).eps * float(np.max(4.0 * np.abs(delta) - gamma))
+        k, p = np.argwhere(gamma <= gamma_bar + band)[0]
         verdict = Verdict("fails", "gamma", (int(iu[p]), int(ju[p])), float(times[k]))
 
     if verdict.holds:
@@ -619,6 +620,10 @@ def check_full_sync(system: NetworkSystem, bounds: PairBoundSet, horizon: float,
     grid margin infimum gamma_bar clears -log(1 - mu1/bound_M) + margin; the
     reported tail bound on squared pairwise errors is epsilon + bound_M once
     t - t0 exceeds settle_time = log(4 rho^2 / epsilon) / gamma_bar.
+    A failing verdict names the first (time, pair) in lexicographic order
+    that violates its condition; for gamma, the first within 8 N eps
+    max(2|delta| + D) of gamma_bar, the maximum taken over the grid, since
+    gamma = 2|delta| - D sums at most 2N terms of that size.
 
     boundedness_witness, when given (a coupled row-dominance check result or its JSON
     dict), is recorded in the certificate assumptions as the boundedness

@@ -30,11 +30,10 @@ from .model import (
     AdjacencySchedule,
     ClusterSpec,
     NetworkSystem,
-    NodeDynamics,
+    NodeField,
     PairBoundSet,
     pair_bounds_for_identical_nodes,
     static_schedule,
-    zero_dynamics,
 )
 
 
@@ -76,29 +75,18 @@ def _write_json(path, doc):
 # config -> objects
 # ---------------------------------------------------------------------------
 
-def _build_nodes(spec: dict, n: int):
+def _build_nodes(spec: dict, n: int) -> NodeField:
     kind = _require(spec, "type", str)
     state_dim = int(spec.get("state_dim", 1))
     if kind == "zero":
-        nodes = [zero_dynamics(state_dim) for _ in range(n)]
-        stacked = lambda t, X: np.zeros_like(X)  # noqa: E731
-        return nodes, stacked
+        return NodeField(state_dim, lambda t, X: np.zeros_like(X))
     if kind == "linear_decay":
         rate = float(spec.get("rate", 1.0))
         forcing = spec.get("forcing_sin")
         d = np.zeros(n) if forcing is None else np.asarray(forcing, dtype=float)
         if d.shape != (n,):
             raise CliError(f"config field 'forcing_sin' must list {n} amplitudes")
-
-        def node(i):
-            return NodeDynamics(
-                state_dim,
-                lambda t, x, i=i: -rate * x + d[i] * math.sin(t),
-                lambda t, r: rate,
-            )
-
-        stacked = lambda t, X: -rate * X + (d * math.sin(t))[:, None]  # noqa: E731
-        return [node(i) for i in range(n)], stacked
+        return NodeField(state_dim, lambda t, X: -rate * X + (d * math.sin(t))[:, None])
     raise CliError(f"unknown node type '{kind}'")
 
 
@@ -113,30 +101,23 @@ def _build_network(cfg: dict, seed: int) -> NetworkSystem:
             time_varying=bool(cfg.get("time_varying", False)),
             rng=np.random.default_rng(seed),
         )
-        if coupling != 1.0:
-            system = NetworkSystem(
-                system.nodes, system.schedule, coupling, system.stacked_rhs
-            )
-        return system
-    if kind == "complete":
+        return NetworkSystem(system.field, system.schedule, coupling)
+    if kind in ("complete", "star"):
         n = int(_require(cfg, "n"))
-        w = float(cfg.get("weight", 1.0))
-        A = w * (np.ones((n, n)) - np.eye(n))
-        nodes, stacked = _build_nodes(cfg.get("nodes", {"type": "zero"}), n)
-        return NetworkSystem(nodes, static_schedule(A), coupling, stacked)
-    if kind == "star":
-        n = int(_require(cfg, "n"))
-        A = scenarios.star_matrix(n, float(_require(cfg, "a")), float(_require(cfg, "b")))
-        nodes, stacked = _build_nodes(cfg.get("nodes", {"type": "zero"}), n)
-        return NetworkSystem(nodes, static_schedule(A), coupling, stacked)
+        if kind == "complete":
+            A = float(cfg.get("weight", 1.0)) * (np.ones((n, n)) - np.eye(n))
+        else:
+            A = scenarios.star_matrix(n, float(_require(cfg, "a")), float(_require(cfg, "b")))
+        field = _build_nodes(cfg.get("nodes", {"type": "zero"}), n)
+        return NetworkSystem(field, static_schedule(A), coupling)
     if kind == "explicit":
         sched_doc = _require(cfg, "schedule", dict)
         try:
             schedule = AdjacencySchedule.from_json_dict(sched_doc)
         except (KeyError, ValueError) as exc:
             raise CliError(f"config field 'schedule' is invalid: {exc}") from exc
-        nodes, stacked = _build_nodes(_require(cfg, "nodes", dict), schedule.n_nodes)
-        return NetworkSystem(nodes, schedule, coupling, stacked)
+        field = _build_nodes(_require(cfg, "nodes", dict), schedule.n_nodes)
+        return NetworkSystem(field, schedule, coupling)
     raise CliError(f"unknown network kind '{kind}'")
 
 

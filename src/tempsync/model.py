@@ -1,6 +1,6 @@
 """Data model for temporal networks.
 
-Node dynamics contracts, signed time-varying adjacency schedules, clusters,
+The node-field contract, signed time-varying adjacency schedules, clusters,
 and per-pair one-sided affine bounds on the difference of node vector fields.
 Node indices are 0-based throughout the Python API; text exports (CSV
 headers, verdict labels in JSON) use 1-based labels.
@@ -9,7 +9,7 @@ headers, verdict labels in JSON) use 1-based labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,18 +22,48 @@ class ScheduleDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class NodeDynamics:
-    """Internal dynamics of one node.
+class NodeField:
+    """Internal dynamics of all n nodes as one vectorized field.
 
-    rhs(t, x) -> dx/dt must be defined for every finite t (piecewise
-    definitions are fine; continuity in t is not required) and must return
-    a vector of length state_dim.  lipschitz_bound(t, r), when given, bounds
-    the Lipschitz constant of x -> rhs(t, x) on the ball of radius r.
+    rhs(t, X (n, m)) -> (n, m) has row i equal to f_i(t, x_i), m = state_dim,
+    for every finite t (continuity in t is not required).  Heterogeneous
+    nodes enter through per-node parameter vectors of length n inside rhs.
     """
 
     state_dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    lipschitz_bound: Callable[[float, float], float] | None = None
+
+    def __post_init__(self):
+        if self.state_dim < 1:
+            raise ValueError("state_dim must be a positive integer")
+
+    @classmethod
+    def from_nodes(cls, nodes: Sequence["NodeDynamics"]) -> "NodeField":
+        """Stack per-node dynamics into one field; row i calls nodes[i]."""
+        nodes = tuple(nodes)
+        dims = {nd.state_dim for nd in nodes}
+        if len(dims) != 1:
+            raise ValueError(f"all nodes must share one state_dim, got {sorted(dims)}")
+
+        def rhs(t, X):
+            out = np.empty_like(X)
+            for i, nd in enumerate(nodes):
+                out[i] = nd(t, X[i])
+            return out
+
+        return cls(dims.pop(), rhs)
+
+
+@dataclass(frozen=True)
+class NodeDynamics:
+    """Internal dynamics of one node, stacked by NodeField.from_nodes.
+
+    rhs(t, x) -> dx/dt follows the NodeField contract for a single node and
+    must return a vector of length state_dim.
+    """
+
+    state_dim: int
+    rhs: Callable[[float, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.state_dim < 1:
@@ -51,7 +81,7 @@ class NodeDynamics:
 def zero_dynamics(state_dim: int = 1) -> NodeDynamics:
     """Node with no internal dynamics (pure consensus agent)."""
     zero = np.zeros(state_dim)
-    return NodeDynamics(state_dim, lambda t, x: zero, lambda t, r: 0.0)
+    return NodeDynamics(state_dim, lambda t, x: zero)
 
 
 class _ConstPiece:
@@ -435,52 +465,42 @@ class NetworkSystem:
     """N agents with diffusive coupling through a time-varying adjacency.
 
     Node i obeys  dx_i/dt = f_i(t, x_i) + c * sum_k a_ik(t) (x_k - x_i)
-    with c = global_coupling.  stacked_rhs, when provided, must evaluate all
-    node fields at once ((t, X (n, m)) -> (n, m)) and is used by the
-    integrator as a fast path; it must agree with the per-node contracts.
+    with c = global_coupling.  field is a NodeField evaluating all f_i at
+    once, or a sequence of one NodeDynamics per node, which is stacked with
+    NodeField.from_nodes.  The node count is the schedule's.
     """
 
-    nodes: tuple[NodeDynamics, ...]
+    field: NodeField
     schedule: AdjacencySchedule
     global_coupling: float = 1.0
-    stacked_rhs: Callable[[float, np.ndarray], np.ndarray] | None = None
 
-    def __init__(self, nodes, schedule, global_coupling=1.0, stacked_rhs=None):
-        nodes = tuple(nodes)
-        if not nodes:
-            raise ValueError("need at least one node")
-        dims = {nd.state_dim for nd in nodes}
-        if len(dims) != 1:
-            raise ValueError(f"all nodes must share one state_dim, got {sorted(dims)}")
-        if len(nodes) != schedule.n_nodes:
-            raise ValueError(
-                f"{len(nodes)} nodes but schedule is for {schedule.n_nodes}"
-            )
+    def __init__(self, field, schedule, global_coupling=1.0):
+        if not isinstance(field, NodeField):
+            nodes = tuple(field)
+            if len(nodes) != schedule.n_nodes:
+                raise ValueError(
+                    f"{len(nodes)} nodes but schedule is for {schedule.n_nodes}"
+                )
+            field = NodeField.from_nodes(nodes)
         if global_coupling < 0:
             raise ValueError("global_coupling must be nonnegative")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "global_coupling", float(global_coupling))
-        object.__setattr__(self, "stacked_rhs", stacked_rhs)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.schedule.n_nodes
 
     @property
     def state_dim(self) -> int:
-        return self.nodes[0].state_dim
+        return self.field.state_dim
 
     def eval_nodes(self, t: float, X: np.ndarray) -> np.ndarray:
         """All node fields stacked into an (n, m) array."""
-        if self.stacked_rhs is not None:
-            out = np.asarray(self.stacked_rhs(t, X), dtype=float)
-            if out.shape != X.shape:
-                raise ValueError(
-                    f"stacked_rhs returned shape {out.shape}, expected {X.shape}"
-                )
-            return out
-        out = np.empty_like(X)
-        for i, nd in enumerate(self.nodes):
-            out[i] = nd(t, X[i])
+        out = np.asarray(self.field.rhs(t, X), dtype=float)
+        if out.shape != X.shape:
+            raise ValueError(
+                f"node field returned shape {out.shape}, expected {X.shape}"
+            )
         return out

@@ -25,7 +25,7 @@ from .integrate import ErrorSeries, SolverConfig, integrate, pairwise_errors
 from .model import (
     AdjacencySchedule,
     NetworkSystem,
-    NodeDynamics,
+    NodeField,
     build_switching_schedule,
     pair_bounds_for_identical_nodes,
     static_schedule,
@@ -142,19 +142,7 @@ def _vdp_system(n_nodes, delta_t, c, horizon, rng, eps0, density):
         out[:, 1] = -eps0 * (1.0 + 0.5 * np.sin(omega * t)) * u
         return out
 
-    def node(i):
-        def rhs(t, x):
-            return np.array(
-                [
-                    x[1] + b[i] * x[0] - x[0] ** 3 / 3.0,
-                    -eps0 * (1.0 + 0.5 * math.sin(omega[i] * t)) * x[0],
-                ]
-            )
-
-        return NodeDynamics(2, rhs)
-
-    nodes = [node(i) for i in range(n_nodes)]
-    return NetworkSystem(nodes, schedule, global_coupling=c / n_nodes, stacked_rhs=stacked)
+    return NetworkSystem(NodeField(2, stacked), schedule, global_coupling=c / n_nodes)
 
 
 def run_vdp(n_nodes=5, delta_t=50.0, c=1.0, seed=0, horizon=150.0, *,
@@ -228,15 +216,11 @@ def build_contrarian_ring(n_nodes, a, a12, time_varying=False, rng=None) -> Netw
         for off in (-2, -1, 1, 2):
             base[i, (i + off) % n_nodes] = 1.0
     influenced = [1, 2, n_nodes - 2, n_nodes - 1]
-    if a == 0.0 and a12 == 0.0 and not time_varying:
-        schedule = static_schedule(base)
-        nodes = [NodeDynamics(1, lambda t, x: np.zeros(1), lambda t, r: 0.0)
-                 for _ in range(n_nodes)]
-        return NetworkSystem(nodes, schedule, stacked_rhs=lambda t, X: np.zeros_like(X))
-    base[0, :] = 0.0
-    base[0, 1] = a12
-    for i in influenced:
-        base[i, 0] = -a
+    if a != 0.0 or a12 != 0.0 or time_varying:
+        base[0, :] = 0.0
+        base[0, 1] = a12
+        for i in influenced:
+            base[i, 0] = -a
     if time_varying:
         rng = rng or np.random.default_rng(0)
         omegas = rng.uniform(1.0, 2.0, len(influenced))
@@ -250,9 +234,7 @@ def build_contrarian_ring(n_nodes, a, a12, time_varying=False, rng=None) -> Netw
         schedule = AdjacencySchedule(n_nodes, [0.0], [piece])
     else:
         schedule = static_schedule(base)
-    nodes = [NodeDynamics(1, lambda t, x: np.zeros(1), lambda t, r: 0.0)
-             for _ in range(n_nodes)]
-    return NetworkSystem(nodes, schedule, stacked_rhs=lambda t, X: np.zeros_like(X))
+    return NetworkSystem(NodeField(1, lambda t, X: np.zeros_like(X)), schedule)
 
 
 def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
@@ -393,19 +375,7 @@ def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density, eps=0.05
         out[:, 1] = eps * (x + apar - bpar * y)
         return out
 
-    def node(i):
-        def rhs(t, s):
-            return np.array(
-                [
-                    cpar[i] * s[0] - s[0] ** 3 - s[1] + ipar[i],
-                    eps * (s[0] + apar[i] - bpar[i] * s[1]),
-                ]
-            )
-
-        return NodeDynamics(2, rhs)
-
-    nodes = [node(i) for i in range(n_nodes)]
-    system = NetworkSystem(nodes, schedule, stacked_rhs=stacked)
+    system = NetworkSystem(NodeField(2, stacked), schedule)
     return system, support
 
 
@@ -558,20 +528,7 @@ def _lorenz_system(n_nodes, schedule, c, rng, heterogeneous):
         out[:, 2] = x * y - beta * z
         return out
 
-    def node(i):
-        def rhs(t, s):
-            return np.array(
-                [
-                    sigma[i] * (s[1] - s[0]),
-                    s[0] * (rho[i] - s[2]) - s[1],
-                    s[0] * s[1] - beta[i] * s[2],
-                ]
-            )
-
-        return NodeDynamics(3, rhs)
-
-    nodes = [node(i) for i in range(n_nodes)]
-    return NetworkSystem(nodes, schedule, global_coupling=c, stacked_rhs=stacked)
+    return NetworkSystem(NodeField(3, stacked), schedule, global_coupling=c)
 
 
 def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,

@@ -103,16 +103,11 @@ def _ensemble_instance(seed):
     segments = [(t, rng.uniform(lo, hi, (n, n))) for t in starts]
     schedule = ts.build_switching_schedule(n, segments)
     if contractive:
-        nodes = [ts.NodeDynamics(m, lambda t, x: -x, lambda t, r: 1.0)] * n
-        system = ts.NetworkSystem(nodes, schedule, stacked_rhs=lambda t, X: -X)
+        system = ts.NetworkSystem(ts.NodeField(m, lambda t, X: -X), schedule)
         bounds = ts.PairBoundSet.constant(n, -1.0, 0.0, rho=3.0)
     else:
-        nodes = [
-            ts.NodeDynamics(m, lambda t, x: -x + math.sin(t) * np.ones(m),
-                            lambda t, r: 1.0)
-        ] * n
         system = ts.NetworkSystem(
-            nodes, schedule, stacked_rhs=lambda t, X: -X + math.sin(t)
+            ts.NodeField(m, lambda t, X: -X + math.sin(t)), schedule
         )
         bounds = ts.pair_bounds_for_identical_nodes(n, 1.0, rho=3.0)
     x0 = rng.uniform(-1.0, 1.0, (n, m))
@@ -168,15 +163,9 @@ def test_criterion_05_bound_realization():
     A = np.ones((n, n)) - np.eye(n)
 
     def system_for(c):
-        nodes = [
-            ts.NodeDynamics(
-                1, lambda t, x, i=i: -x + drift[i] * math.sin(t) * np.ones(1)
-            )
-            for i in range(n)
-        ]
         return ts.NetworkSystem(
-            nodes, ts.static_schedule(A), global_coupling=c,
-            stacked_rhs=lambda t, X: -X + (drift * math.sin(t))[:, None],
+            ts.NodeField(1, lambda t, X: -X + (drift * math.sin(t))[:, None]),
+            ts.static_schedule(A), global_coupling=c,
         )
 
     bounds = ts.PairBoundSet(
@@ -312,9 +301,8 @@ def test_criterion_11_pullback_oracle():
 
 def test_criterion_12_boundedness_witness():
     A = np.ones((2, 2)) - np.eye(2)
-    nodes = [ts.NodeDynamics(1, lambda t, x: -2.0 * x, lambda t, r: 2.0)] * 2
     system = ts.NetworkSystem(
-        nodes, ts.static_schedule(A), stacked_rhs=lambda t, X: -2.0 * X
+        ts.NodeField(1, lambda t, X: -2.0 * X), ts.static_schedule(A)
     )
     chk = ts.coupled_comparison_check(system, [-4.0, -4.0], np.linspace(0, 1, 11))
     assert chk.gamma == pytest.approx(2.0)
@@ -342,8 +330,7 @@ def test_criterion_13_degeneracies():
     rng = np.random.default_rng(13)
     A = rng.uniform(0.1, 1.0, (4, 4))
     system = ts.NetworkSystem(
-        [ts.zero_dynamics(1)] * 4, ts.static_schedule(A),
-        stacked_rhs=lambda t, X: np.zeros_like(X),
+        ts.NodeField(1, lambda t, X: np.zeros_like(X)), ts.static_schedule(A),
     )
     bounds = ts.PairBoundSet.constant(4, -0.5, 0.02, rho=1.0)
     full = ts.check_full_sync(system, bounds, 3.0, bound_M=1.0, epsilon=0.05)

@@ -118,12 +118,8 @@ def test_ultimate_bound_values():
 
 def _coupled_pair(rate=2.0, weight=1.0):
     A = weight * (np.ones((2, 2)) - np.eye(2))
-    nodes = [
-        ts.NodeDynamics(1, lambda t, x: -rate * x, lambda t, r: rate)
-        for _ in range(2)
-    ]
     return ts.NetworkSystem(
-        nodes, ts.static_schedule(A), stacked_rhs=lambda t, X: -rate * X
+        ts.NodeField(1, lambda t, X: -rate * X), ts.static_schedule(A)
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,20 +15,14 @@ from tempsync.certificates import ComparisonSystem, _grid_delta_gamma
 def _zero_system(A, c=1.0):
     n = A.shape[0]
     return ts.NetworkSystem(
-        [ts.zero_dynamics(1) for _ in range(n)],
+        ts.NodeField(1, lambda t, X: np.zeros_like(X)),
         ts.static_schedule(A),
         global_coupling=c,
-        stacked_rhs=lambda t, X: np.zeros_like(X),
     )
 
 
 def _decay_system(schedule, m=1, rate=1.0):
-    n = schedule.n_nodes
-    nodes = [
-        ts.NodeDynamics(m, lambda t, x: -rate * x, lambda t, r: rate)
-        for _ in range(n)
-    ]
-    return ts.NetworkSystem(nodes, schedule, stacked_rhs=lambda t, X: -rate * X)
+    return ts.NetworkSystem(ts.NodeField(m, lambda t, X: -rate * X), schedule)
 
 
 # -- pointwise evaluation ----------------------------------------------------
@@ -396,6 +391,25 @@ def test_full_sync_failure_names_pair_and_condition():
     assert cert.verdict.condition == "gamma"
     assert cert.verdict.pair == (0, 1)  # rendered 1-based as (1,2)
     assert cert.verdict.render().startswith("fails(gamma,(1,2)")
+
+
+def test_gamma_failure_names_first_exact_tie():
+    # six pairs of this ring tie exactly in gamma; their float values differ
+    # in the last bits, and the verdict must still name the first of them
+    a, a12, l = 1.7697859081537268, 1.5314170531151312, -0.9356027982336892
+    system = ts.build_contrarian_ring(10, a=a, a12=a12)
+    bounds = ts.pair_bounds_for_identical_nodes(10, l, rho=2.0)
+    cert = ts.check_full_sync(system, bounds, 3.0, bound_M=1.0, epsilon=1e-3)
+    A = [[Fraction(float(v)) for v in row] for row in system.schedule.sample(0.0)]
+    exact = {}
+    for i, j in zip(*pair_arrays(10)[:2]):
+        rest = [k for k in range(10) if k not in (i, j)]
+        S = A[i][j] + A[j][i] + sum(A[i][k] + A[j][k] for k in rest) / 2
+        D = sum(abs(A[j][k] - A[i][k]) for k in rest)
+        exact[(int(i), int(j))] = 2 * abs(Fraction(l) - S) - D
+    tied = [p for p in sorted(exact) if exact[p] == min(exact.values())]
+    assert tied == [(0, 8), (1, 6), (2, 7), (2, 8), (3, 8), (4, 9)]
+    assert cert.verdict.render() == "fails(gamma,(1,9),t=0)"
 
 
 def test_certificate_json_export_contract(tmp_path):

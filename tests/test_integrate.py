@@ -14,10 +14,39 @@ from tempsync.model import _ConstPiece
 
 def _consensus_pair(w=1.0):
     A = np.array([[0.0, w], [w, 0.0]])
-    nodes = [ts.zero_dynamics(1) for _ in range(2)]
     return ts.NetworkSystem(
-        nodes, ts.static_schedule(A), stacked_rhs=lambda t, X: np.zeros_like(X)
+        ts.NodeField(1, lambda t, X: np.zeros_like(X)), ts.static_schedule(A)
     )
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_node_dynamics_adapter_matches_node_field_bitwise(method):
+    # heterogeneous per-node contracts and the same formula as one field
+    # with per-node parameter vectors give the same trajectory bit for bit
+    rng = np.random.default_rng(11)
+    n = 4
+    k = rng.uniform(0.1, 0.5, n)
+    w = rng.uniform(1.0, 2.0, n)
+    nodes = [
+        ts.NodeDynamics(2, lambda t, x, i=i: np.array(
+            [x[1] - k[i] * x[0] * x[0] * x[0], -(w[i] + t) * x[0]]))
+        for i in range(n)
+    ]
+
+    def field(t, X):
+        out = np.empty_like(X)
+        out[:, 0] = X[:, 1] - k * X[:, 0] * X[:, 0] * X[:, 0]
+        out[:, 1] = -(w + t) * X[:, 0]
+        return out
+
+    sched = ts.build_switching_schedule(
+        n, [(0.0, _signed(rng, n)), (0.4, _signed(rng, n)), (1.1, _signed(rng, n))]
+    )
+    cfg = ts.SolverConfig(method=method, dt=2.0 ** -7, rtol=1e-8, atol=1e-10)
+    x0 = rng.uniform(-1.0, 1.0, (n, 2))
+    a = ts.integrate(ts.NetworkSystem(nodes, sched, 0.7), 0.0, x0, 2.0, cfg)
+    b = ts.integrate(ts.NetworkSystem(ts.NodeField(2, field), sched, 0.7), 0.0, x0, 2.0, cfg)
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
 
 
 def test_zero_field_keeps_state_constant():
@@ -165,8 +194,8 @@ def test_rk45_raises_when_minimum_step_is_rejected():
     # can meet the tolerances, so the step shrinks to 1e-12 and must fail
     # loudly instead of being accepted with its error unchecked
     system = ts.NetworkSystem(
-        [ts.zero_dynamics(1)] * 2, ts.static_schedule(np.zeros((2, 2))),
-        stacked_rhs=lambda t, X: np.full_like(X, 1e6 if t > 0.5 else 0.0),
+        ts.NodeField(1, lambda t, X: np.full_like(X, 1e6 if t > 0.5 else 0.0)),
+        ts.static_schedule(np.zeros((2, 2))),
     )
     cfg = ts.SolverConfig(method="rk45", rtol=1e-10, atol=1e-12)
     with pytest.raises(ts.IntegrationError, match="rejected") as exc:
@@ -333,9 +362,8 @@ def test_laplacian_stages_match_per_stage_formula(n, method):
         for kind in ("constant", "functional", "periodic"):
             phase = rng.uniform(0.0, 3.0, (n, m))
             system = ts.NetworkSystem(
-                [ts.zero_dynamics(m)] * n, _schedule(kind, rng, n),
-                global_coupling=0.4,
-                stacked_rhs=lambda t, X, p=phase: 0.5 * X - X ** 3 + np.sin(t + p),
+                ts.NodeField(m, lambda t, X, p=phase: 0.5 * X - X ** 3 + np.sin(t + p)),
+                _schedule(kind, rng, n), global_coupling=0.4,
             )
             traj = ts.integrate(system, 0.0, rng.uniform(-1.0, 1.0, (n, m)), 2.0, cfg)
             ref = _reference_replay(system, method, traj)
@@ -358,8 +386,7 @@ def test_fixed_step_field_evaluations_are_four_per_step(monkeypatch):
     rng = np.random.default_rng(7)
     breaks = [0.0, 0.37, 0.9, 1.4]
     sched = ts.build_switching_schedule(5, [(b, _signed(rng, 5)) for b in breaks])
-    system = ts.NetworkSystem([ts.zero_dynamics(2)] * 5, sched,
-                              stacked_rhs=lambda t, X: -X)
+    system = ts.NetworkSystem(ts.NodeField(2, lambda t, X: -X), sched)
     dt = 2.0 ** -7
     ts.integrate(system, 0.0, rng.normal(size=(5, 2)), 2.0, ts.SolverConfig(dt=dt))
     ends = breaks + [2.0]
@@ -381,8 +408,7 @@ def test_rk45_zero_weight_stage_fault_names_node_and_stage_time():
             out[2] = math.nan
         return out
 
-    system = ts.NetworkSystem([ts.zero_dynamics(1)] * 4,
-                              ts.static_schedule(np.ones((4, 4))), stacked_rhs=field)
+    system = ts.NetworkSystem(ts.NodeField(1, field), ts.static_schedule(np.ones((4, 4))))
     cfg = ts.SolverConfig(method="rk45", dt=0.1)
     with pytest.raises(ts.IntegrationError, match=r"node 2 .* t=0\.025") as exc:
         ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, cfg)

@@ -167,7 +167,7 @@ def test_consensus_bounds_give_zero_mu1():
     assert ts.compute_mu1(b, grid) == 0.0
 
 
-def test_callable_lipschitz_bound_uses_rho():
+def test_callable_lipschitz_coefficient_uses_rho():
     b = ts.pair_bounds_for_identical_nodes(3, lambda t, r: r + t, rho=2.0)
     assert b.alpha(0, 1, 1.0) == 3.0
     assert b.beta(2, 0, 1.0) == 0.0
@@ -228,6 +228,22 @@ def test_network_system_validation():
         ts.NetworkSystem([ts.zero_dynamics(1), ts.zero_dynamics(2)], sched)
     with pytest.raises(ValueError):
         ts.NetworkSystem(nodes, sched, global_coupling=-0.1)
+
+
+def test_node_field_contract():
+    sched = ts.static_schedule(_eye_offdiag(3))
+    with pytest.raises(ValueError, match="state_dim"):
+        ts.NodeField(0, lambda t, X: X)
+    wide = ts.NetworkSystem(ts.NodeField(2, lambda t, X: np.zeros((3, 3))), sched)
+    assert wide.n_nodes == 3 and wide.state_dim == 2
+    with pytest.raises(ValueError, match=r"shape \(3, 3\), expected \(3, 2\)"):
+        wide.eval_nodes(0.0, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="2 nodes but schedule is for 3"):
+        ts.NetworkSystem([ts.zero_dynamics(2)] * 2, sched)
+    with pytest.raises(ValueError, match="share one state_dim"):
+        ts.NodeField.from_nodes([ts.zero_dynamics(1), ts.zero_dynamics(2)])
+    with pytest.raises(ValueError):
+        ts.NodeField.from_nodes([])
 
 
 def test_node_dynamics_output_shape_checked():
