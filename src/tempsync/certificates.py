@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .integrate import SolverConfig, integrate
-from .model import ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece
+from .model import ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _finite
 
 
 class InfeasibleTopologyError(ValueError):
@@ -53,9 +53,8 @@ def evaluate_comparison(system: NetworkSystem, bounds: PairBoundSet, t: float):
     """
     if bounds.n_nodes != system.n_nodes:
         raise ValueError("bounds and system disagree on the number of nodes")
-    iu, ju, _ = kern.pair_arrays(system.n_nodes)
     A = system.global_coupling * system.schedule.sample(t)
-    return _comparison(A, bounds.alpha_vec(iu, ju, t))
+    return _comparison(A, bounds.alpha(t))
 
 
 def _comparison(A, alpha):
@@ -74,13 +73,9 @@ def _grid_delta_gamma(system, bounds, times, nodes):
     """
     c = system.global_coupling
     nodes = np.asarray(nodes, dtype=np.int64)
-    iu_loc, ju_loc, _ = kern.pair_arrays(len(nodes))
-    iu = nodes[iu_loc]
-    ju = nodes[ju_loc]
-    P = len(iu)
-    T = len(times)
-    delta = np.empty((T, P))
-    D = np.empty((T, P))
+    iu, ju = (nodes[k] for k in kern.pair_arrays(len(nodes))[:2])
+    sel = kern.pair_arrays(system.n_nodes)[2][iu, ju]  # the pairs in bounds' vectors
+    delta, D = np.empty((2, len(times), len(iu)))
     segs = system.schedule.segments_between(times[0], times[-1] + 1e-12)
     starts = np.array([a for a, _, _ in segs])
     seg_of = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segs) - 1)
@@ -90,15 +85,11 @@ def _grid_delta_gamma(system, bounds, times, nodes):
             continue
         if isinstance(piece, _ConstPiece):
             S, D[idx] = kern.pair_sums(c * piece.matrix, iu, ju, nodes)
-            if bounds.time_constant:
-                delta[idx] = bounds.alpha_vec(iu, ju, times[idx[0]]) - S
-            else:
-                for k in idx:
-                    delta[k] = bounds.alpha_vec(iu, ju, times[k]) - S
         else:
-            for k in idx:
-                S, D[k] = kern.pair_sums(c * piece(times[k]), iu, ju, nodes)
-                delta[k] = bounds.alpha_vec(iu, ju, times[k]) - S
+            S, D[idx] = map(np.array, zip(*[kern.pair_sums(c * piece(t), iu, ju, nodes)
+                                             for t in times[idx]]))
+        at = times[idx[:1]] if bounds.time_constant else times[idx]
+        delta[idx] = np.array([bounds.alpha(t)[sel] for t in at]) - S
     return delta, 2.0 * np.abs(delta) - D, (iu, ju)
 
 
@@ -123,19 +114,24 @@ def compute_mu1(bounds: PairBoundSet, window_grid, pairs=None) -> float:
     """Sliding unit-window bound on the stacked heterogeneity vector.
 
     mu1 = sup_tau int_tau^{tau+1} |(2 beta_ij(s))_pairs| ds with the
-    Euclidean norm over the listed pairs (all pairs by default).  Constant
+    Euclidean norm over the listed (i, j) pairs, in either order (all pairs
+    by default); an invalid pair raises ValueError naming it.  Constant
     bounds short-circuit to the exact value |2 beta|.
     """
-    if pairs is None:
-        iu, ju, _ = kern.pair_arrays(bounds.n_nodes)
-    else:
+    n = bounds.n_nodes
+    iu, ju, pidx = kern.pair_arrays(n)
+    if pairs is not None:
         iu, ju = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        bad = np.nonzero((np.minimum(iu, ju) < 0) | (np.maximum(iu, ju) >= n) | (iu == ju))[0]
+        if bad.size:
+            raise ValueError(f"invalid pair ({iu[bad[0]]}, {ju[bad[0]]}) for {n} nodes")
+    sel = pidx[iu, ju]
     times = np.asarray(window_grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("window_grid must contain at least two times")
 
     def norm_at(t):
-        v = 2.0 * bounds.beta_vec(iu, ju, t)
+        v = 2.0 * bounds.beta(t)[sel]
         return float(np.sqrt(np.dot(v, v)))
 
     if bounds.time_constant:
@@ -186,10 +182,10 @@ class ComparisonSystem:
     :meth:`from_network`, or manually from dim and callables.
     """
 
-    def __init__(self, dim, E, beta_vec, breakpoints=None, piecewise_constant=False):
+    def __init__(self, dim, E, beta, breakpoints=None, piecewise_constant=False):
         self.dim = int(dim)
         self._E = E
-        self._beta = beta_vec
+        self._beta = beta
         self._breakpoints = (
             np.asarray(breakpoints, dtype=float) if breakpoints is not None else None
         )
@@ -201,15 +197,11 @@ class ComparisonSystem:
     def from_network(cls, system: NetworkSystem, bounds: PairBoundSet) -> "ComparisonSystem":
         if bounds.n_nodes != system.n_nodes:
             raise ValueError("bounds and system disagree on the number of nodes")
-        n = system.n_nodes
-        iu, ju, _ = kern.pair_arrays(n)
         cs = cls(
-            kern.n_pairs(n),
+            kern.n_pairs(system.n_nodes),
             lambda t: evaluate_comparison(system, bounds, t)[0],
-            lambda t: 2.0 * bounds.beta_vec(iu, ju, t),
-            piecewise_constant=(
-                system.schedule.is_piecewise_constant and bounds.time_constant
-            ),
+            lambda t: 2.0 * bounds.beta(t),
+            piecewise_constant=system.schedule.is_piecewise_constant and bounds.time_constant,
         )
         cs._system = system
         cs._bounds = bounds
@@ -218,7 +210,7 @@ class ComparisonSystem:
     def E(self, t: float) -> np.ndarray:
         return np.asarray(self._E(t), dtype=float).reshape(self.dim, self.dim)
 
-    def beta_vec(self, t: float) -> np.ndarray:
+    def beta(self, t: float) -> np.ndarray:
         return np.asarray(self._beta(t), dtype=float).reshape(self.dim)
 
     def _segments(self, t0, t1):
@@ -226,23 +218,21 @@ class ComparisonSystem:
         out = []
         if self._system is not None:
             c = self._system.global_coupling
-            n = self._system.n_nodes
-            iu, ju, _ = kern.pair_arrays(n)
             bounds = self._bounds
             for a, b, piece in self._system.schedule.segments_between(t0, t1):
                 def E_fn(t, piece=piece):
                     A = c * np.asarray(piece(t), dtype=float)
-                    return _comparison(A, bounds.alpha_vec(iu, ju, t))[0]
+                    return _comparison(A, bounds.alpha(t))[0]
 
                 is_const = isinstance(piece, _ConstPiece) and bounds.time_constant
-                out.append((a, b, E_fn, self.beta_vec, is_const))
+                out.append((a, b, E_fn, self.beta, is_const))
             return out
         cuts = [t0, t1]
         if self._breakpoints is not None:
             cuts += [float(b) for b in self._breakpoints if t0 < b < t1]
         cuts = sorted(set(cuts))
         for a, b in zip(cuts[:-1], cuts[1:]):
-            out.append((a, b, self.E, self.beta_vec, self.piecewise_constant))
+            out.append((a, b, self.E, self.beta, self.piecewise_constant))
         return out
 
 
@@ -360,7 +350,8 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
 
 
 def _metzler(E: np.ndarray, t: float) -> np.ndarray:
-    """E itself, after checking that no off-diagonal entry is negative."""
+    """E itself, after checking it is finite and no off-diagonal entry is negative."""
+    _finite(E, lambda i, j: f"comparison matrix E(t) at t={t:.6g}: entry ({i + 1}, {j + 1})")
     neg = E < 0
     np.fill_diagonal(neg, False)
     if neg.any():
@@ -526,6 +517,8 @@ def estimate_rho(system: NetworkSystem, x0, t0: float, t_burn: float,
 
 def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
              margin, cluster=None):
+    if bounds.n_nodes != system.n_nodes:
+        raise ValueError("bounds and system disagree on the number of nodes")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if horizon <= 0 or grid_step <= 0 or horizon < grid_step:
@@ -539,8 +532,7 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
     mu_step = min(grid_step, 1e-2)
     n_mu = int(round(horizon / mu_step))
     mu_times = t0 + mu_step * np.arange(n_mu + 1)
-    pairs = list(zip(iu.tolist(), ju.tolist()))
-    mu1 = compute_mu1(bounds, mu_times, pairs=pairs)
+    mu1 = compute_mu1(bounds, mu_times, pairs=np.column_stack([iu, ju]))
 
     n_sub = len(nodes)
     N = system.n_nodes
@@ -629,8 +621,6 @@ def check_full_sync(system: NetworkSystem, bounds: PairBoundSet, horizon: float,
     dict), is recorded in the certificate assumptions as the boundedness
     justification behind rho.
     """
-    if bounds.n_nodes != system.n_nodes:
-        raise ValueError("bounds and system disagree on the number of nodes")
     cert = _certify(
         system, bounds, list(range(system.n_nodes)), horizon, bound_M,
         epsilon, t0, grid_step, margin,
@@ -731,6 +721,9 @@ def static_threshold(A_static, l_rho: float) -> float:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A_static must be a square matrix")
     np.fill_diagonal(A, 0.0)
+    _finite(A, lambda i, j: f"A_static entry ({i + 1}, {j + 1})")
+    if not math.isfinite(l_rho):
+        raise ValueError(f"l_rho = {l_rho} is not finite")
     n = A.shape[0]
     iu, ju, _ = kern.pair_arrays(n)
     S, D = kern.pair_sums(A, iu, ju, np.arange(n))

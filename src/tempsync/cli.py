@@ -10,6 +10,7 @@ and I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -345,7 +346,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
     parser = _Parser(prog="tempsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _kernels as kern
+
 EXTENSIONS = ("constant", "periodic", "none")
 
 
@@ -84,6 +86,14 @@ def zero_dynamics(state_dim: int = 1) -> NodeDynamics:
     return NodeDynamics(state_dim, lambda t, x: zero)
 
 
+def _finite(m: np.ndarray, entry: Callable[[int, int], str]) -> np.ndarray:
+    """The matrix m itself, after checking every entry is finite; entry(i, j) names one."""
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"{entry(i, j)} = {m[i, j]} is not finite")
+    return m
+
+
 class _ConstPiece:
     """Constant matrix segment; evaluation ignores t."""
 
@@ -93,7 +103,7 @@ class _ConstPiece:
         m = np.array(matrix, dtype=float)
         np.fill_diagonal(m, 0.0)
         m.setflags(write=False)
-        self.matrix = m
+        self.matrix = _finite(m, lambda i, j: f"adjacency entry ({i}, {j})")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.matrix
@@ -112,8 +122,8 @@ class _FuncPiece:
         m = np.array(self.fn(t), dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"piece returned shape {m.shape}, expected ({self.n}, {self.n})")
-        np.fill_diagonal(m, 0.0)
-        return m
+        m.reshape(-1)[:: self.n + 1] = 0.0  # the diagonal, as a view
+        return _finite(m, lambda i, j: f"adjacency entry ({i}, {j}) at t={t}")
 
 
 class AdjacencySchedule:
@@ -324,107 +334,85 @@ def static_schedule(matrix) -> AdjacencySchedule:
 class PairBoundSet:
     """Per-pair data (alpha_ij, beta_ij) valid on a ball of radius rho.
 
-    The contracts satisfy, for states x, y in the ball,
-    <x - y, f_i(t, x) - f_j(t, y)> <= alpha(i, j, t) |x - y|^2 + beta(i, j, t)
-    with beta >= 0.  Access is symmetrized at construction: alpha(i, j, t)
-    equals alpha(j, i, t), likewise beta.  global_bounds marks bounds that do
-    not depend on the radius; time_constant marks bounds that do not depend
-    on t (enables fast certificate grids).
+    For states x, y in the ball, <x - y, f_i(t, x) - f_j(t, y)> <=
+    alpha_ij(t) |x - y|^2 + beta_ij(t) with beta >= 0.  alpha(t), beta(t)
+    return one (P,) vector over the pairs i < j in _kernels.pair_arrays
+    order; a non-finite value or a negative beta raises naming pair and t.
+    The constructor stacks per-pair callables alpha(i, j, t), beta(i, j, t)
+    (called with i < j); constant() and pair_bounds_for_identical_nodes
+    store vectors or t -> (P,) functions, and time_constant says both are
+    vectors.  global_bounds marks radius-independent bounds.
     """
 
-    def __init__(self, n_nodes, rho, alpha, beta, global_bounds=False, time_constant=False):
+    def __init__(self, n_nodes, rho, alpha, beta, global_bounds=False):
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
         if rho <= 0:
             raise ValueError("rho must be positive")
         self.n_nodes = int(n_nodes)
         self.rho = float(rho)
-        self._alpha = alpha
-        self._beta = beta
         self.global_bounds = bool(global_bounds)
-        self.time_constant = bool(time_constant)
+        iu, ju, _ = kern.pair_arrays(self.n_nodes)
+        self._pairs = pairs = list(zip(iu.tolist(), ju.tolist()))
+        self._alpha = lambda t: np.array([float(alpha(i, j, t)) for i, j in pairs])
+        self._beta = lambda t: np.array([float(beta(i, j, t)) for i, j in pairs])
 
-    def _order(self, i, j):
-        if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes) or i == j:
-            raise ValueError(f"invalid pair ({i}, {j}) for {self.n_nodes} nodes")
-        return (i, j) if i < j else (j, i)
+    @classmethod
+    def _stored(cls, n_nodes, rho, alpha, beta, global_bounds):
+        """Bounds stored as given: each a (P,) vector or a function t -> (P,)."""
+        out = cls(n_nodes, rho, None, None, global_bounds)
+        out._alpha, out._beta = (v if callable(v) else out._check(name, np.array(v, float))
+                                 for name, v in (("alpha", alpha), ("beta", beta)))
+        return out
 
-    def alpha(self, i: int, j: int, t: float) -> float:
-        i, j = self._order(i, j)
-        return float(self._alpha(i, j, t))
+    @property
+    def time_constant(self) -> bool:
+        return not (callable(self._alpha) or callable(self._beta))
 
-    def beta(self, i: int, j: int, t: float) -> float:
-        i, j = self._order(i, j)
-        v = float(self._beta(i, j, t))
-        if v < 0:
-            raise ValueError(f"beta({i}, {j}, {t}) = {v} is negative")
-        return v
+    def alpha(self, t: float) -> np.ndarray:
+        """alpha_ij(t) over the pairs, as one (P,) vector."""
+        return self._check("alpha", self._alpha(t), t) if callable(self._alpha) else self._alpha
 
-    def _ordered(self, iu, ju):
-        """The pairs (iu[p], ju[p]) as (min, max) int lists, validated at once."""
-        iu, ju = np.asarray(iu, dtype=np.int64), np.asarray(ju, dtype=np.int64)
-        lo, hi = np.minimum(iu, ju), np.maximum(iu, ju)
-        bad = np.nonzero((lo < 0) | (hi >= self.n_nodes) | (lo == hi))[0]
-        if bad.size:
-            self._order(int(iu[bad[0]]), int(ju[bad[0]]))  # raises, naming the pair
-        return lo.tolist(), hi.tolist()
+    def beta(self, t: float) -> np.ndarray:
+        """beta_ij(t) over the pairs, as one (P,) vector."""
+        return self._check("beta", self._beta(t), t) if callable(self._beta) else self._beta
 
-    def alpha_vec(self, iu, ju, t: float) -> np.ndarray:
-        """alpha(iu[p], ju[p], t) for every p, as one vector."""
-        lo, hi = self._ordered(iu, ju)
-        return np.array([float(self._alpha(i, j, t)) for i, j in zip(lo, hi)])
-
-    def beta_vec(self, iu, ju, t: float) -> np.ndarray:
-        """beta(iu[p], ju[p], t) for every p; a negative value raises."""
-        lo, hi = self._ordered(iu, ju)
-        v = np.array([float(self._beta(i, j, t)) for i, j in zip(lo, hi)])
-        neg = np.nonzero(v < 0)[0]
-        if neg.size:
-            p = int(neg[0])
-            raise ValueError(f"beta({lo[p]}, {hi[p]}, {t}) = {v[p]} is negative")
+    def _check(self, name, v, t=None):
+        """v, read-only, after checking it is finite, and nonnegative for beta."""
+        bad = ~np.isfinite(v) | ((v < 0) if name == "beta" else False)
+        if bad.any():
+            p = int(np.argmax(bad))
+            (i, j), at = self._pairs[p], "" if t is None else f", {t}"
+            what = "is not finite" if not np.isfinite(v[p]) else "is negative"
+            raise ValueError(f"{name}({i}, {j}{at}) = {v[p]} {what}")
+        v.setflags(write=False)
         return v
 
     @classmethod
     def constant(cls, n_nodes, alpha, beta, rho, global_bounds=True):
         """Time-constant bounds; alpha, beta may be scalars or (n, n) arrays."""
-        a = np.broadcast_to(np.asarray(alpha, dtype=float), (n_nodes, n_nodes)).copy()
-        b = np.broadcast_to(np.asarray(beta, dtype=float), (n_nodes, n_nodes)).copy()
+        a = np.broadcast_to(np.asarray(alpha, dtype=float), (n_nodes, n_nodes))
+        b = np.broadcast_to(np.asarray(beta, dtype=float), (n_nodes, n_nodes))
         if (b < 0).any():
             raise ValueError("beta must be nonnegative")
-        a = 0.5 * (a + a.T)  # symmetrize, pairs are unordered
-        b = 0.5 * (b + b.T)
-        return cls(
-            n_nodes,
-            rho,
-            lambda i, j, t: a[i, j],
-            lambda i, j, t: b[i, j],
-            global_bounds=global_bounds,
-            time_constant=True,
-        )
+        iu, ju, _ = kern.pair_arrays(n_nodes)
+        a, b = (0.5 * (m[iu, ju] + m[ju, iu]) for m in (a, b))  # pairs are unordered
+        return cls._stored(n_nodes, rho, a, b, global_bounds)
 
 
 def pair_bounds_for_identical_nodes(n_nodes, l, rho, global_bounds=False):
     """Bounds for a network of identical nodes with Lipschitz coefficient l.
 
     l may be a scalar or a contract (t, r) -> coefficient on the ball of
-    radius r; alpha(i, j, t) = l(t, rho) for every pair and beta vanishes
-    identically, which forces the heterogeneity window bound to zero.
+    radius r, called once per time; alpha_ij(t) = l(t, rho) for every pair
+    and beta vanishes identically, which forces the heterogeneity window
+    bound to zero.
     """
+    P = kern.n_pairs(n_nodes)
     if np.isscalar(l):
-        lv = float(l)
-        return PairBoundSet(
-            n_nodes, rho,
-            lambda i, j, t: lv,
-            lambda i, j, t: 0.0,
-            global_bounds=True,
-            time_constant=True,
-        )
-    return PairBoundSet(
-        n_nodes, rho,
-        lambda i, j, t: float(l(t, rho)),
-        lambda i, j, t: 0.0,
-        global_bounds=global_bounds,
-        time_constant=False,
+        return PairBoundSet._stored(n_nodes, rho, np.full(P, float(l)), np.zeros(P), True)
+    return PairBoundSet._stored(
+        n_nodes, rho, lambda t: np.full(P, float(l(t, rho))), np.zeros(P), global_bounds
     )
 
 

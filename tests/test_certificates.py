@@ -101,6 +101,37 @@ def test_pointwise_gamma_matches_certificate_grid_bit_for_bit():
         assert np.array_equal(g_gamma[0], gamma)
 
 
+def test_pair_bound_forms_give_bit_identical_certificates():
+    # the same bounds, alpha = l and beta = 0 on every pair, in the three
+    # input forms, on a seeded switching network
+    rng = np.random.default_rng(5)
+    n, l, rho = 5, -0.5, 1.5
+    segs = [(t, rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.7))
+            for t in (0.0, 0.37, 1.1, 1.6)]
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.build_switching_schedule(n, segs))
+    forms = [
+        ts.PairBoundSet(n, rho, lambda i, j, t: l, lambda i, j, t: 0.0, global_bounds=True),
+        ts.PairBoundSet.constant(n, l, 0.0, rho),
+        ts.pair_bounds_for_identical_nodes(n, l, rho),
+    ]
+    xi0 = rng.uniform(0.0, 1.0, n * (n - 1) // 2)
+    docs, solves = [], []
+    for b in forms:
+        full = ts.check_full_sync(system, b, 2.0, 1.0, 1e-3)
+        clus = ts.check_cluster_sync(system, b, ts.ClusterSpec([0, 2, 3]), 2.0, 100.0, 1e-3)
+        docs.append(json.dumps([full.to_json_dict(), clus.to_json_dict()], sort_keys=True))
+        solves.append(ts.comparison_solve(ComparisonSystem.from_network(system, b), 0.0, xi0, 2.0))
+    assert docs[0] == docs[1] == docs[2]
+    assert [b.time_constant for b in forms] == [False, True, True]
+    # the two stored-vector forms step each segment with one frozen RK4 map
+    assert np.array_equal(solves[1].times, solves[2].times)
+    assert np.array_equal(solves[1].u, solves[2].u)
+    # per-pair callables may depend on t, so that form samples E at every
+    # RK4 stage (as before pair vectors); same times, u within 1e-12 relative
+    assert np.array_equal(solves[0].times, solves[1].times)
+    assert np.abs(solves[0].u - solves[1].u).max() <= 1e-12 * np.abs(solves[1].u).max()
+
+
 # -- window bounds -----------------------------------------------------------
 
 def test_mu1_zero_for_identical_nodes():
@@ -256,6 +287,15 @@ def test_comparison_solve_rejects_non_metzler_e():
         cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=const)
         with pytest.raises(ValueError, match=r"t=0 is not Metzler: entry \(1, 2\) = -2"):
             ts.comparison_solve(cs, 0.0, np.array([0.0, 1.0]), 2.0)
+
+
+def test_comparison_checks_reject_nonfinite_e():
+    E = np.array([[-2.0, np.nan], [0.5, -2.0]])
+    cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)
+    with pytest.raises(ValueError, match=r"t=0: entry \(1, 2\) = nan is not finite"):
+        ts.dominance_decay_check(cs, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match=r"t=0: entry \(1, 2\) = nan is not finite"):
+        ts.comparison_solve(cs, 0.0, np.array([1.0, 1.0]), 1.0)
 
 
 def test_decay_check_rejects_non_metzler_e():
@@ -519,6 +559,17 @@ def test_static_threshold_on_rounded_feasibility_boundary():
     with pytest.raises(ts.InfeasibleTopologyError) as exc:
         ts.static_threshold(A, 1.0)
     assert exc.value.pair == (1, 2) and exc.value.value == 0.0
+
+
+def test_static_threshold_rejects_nonfinite_input():
+    A = np.ones((3, 3))
+    A[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"A_static entry \(2, 1\) = nan is not finite"):
+        ts.static_threshold(A, 1.0)
+    A[1, 0], A[2, 2] = 1.0, np.inf  # the diagonal is dropped, so it is no entry
+    assert ts.static_threshold(A, 1.0) == ts.static_threshold(np.ones((3, 3)), 1.0)
+    with pytest.raises(ValueError, match=r"l_rho = nan is not finite"):
+        ts.static_threshold(A, math.nan)
 
 
 # -- cluster certificates ----------------------------------------------------

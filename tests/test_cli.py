@@ -1,11 +1,13 @@
 """Exit-status contract and file emission of the command-line front end."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from tempsync import cli
 from tempsync.cli import dispatch
 
 
@@ -112,6 +114,43 @@ def test_cluster_certify_rejects_bad_indices(tmp_path, capsys):
     )
     assert dispatch(["cluster-certify", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "cluster" in capsys.readouterr().err
+
+
+def test_certify_rejects_nonfinite_bound(tmp_path, capsys):
+    cfg = _write(  # json writes the float nan as the token NaN
+        tmp_path / "nan.json",
+        {
+            "network": {"kind": "complete", "n": 3},
+            "bounds": {"kind": "constant", "alpha": math.nan, "beta": 0.0, "rho": 1.0},
+            "horizon": 2.0,
+            "epsilon": 1e-3,
+            "bound_M": 2.0,
+        },
+    )
+    out = tmp_path / "out"
+    assert dispatch(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert r"alpha(0, 1) = nan is not finite" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_option_values(tmp_path, monkeypatch):
+    seen = []
+    for name in ("scenario", "simulate"):
+        monkeypatch.setitem(
+            cli._COMMANDS, name, lambda cfg, args, out: seen.append(dict(vars(args))) or 0
+        )
+    monkeypatch.delenv("SYNC_TOOLKIT_WORKERS", raising=False)
+    cfg = _write(tmp_path / "empty.json", {})
+    assert cli._build_parser() is cli._build_parser()
+    first = ["scenario", "vdp", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5",
+             "--t-end", "2", "--dt", "0.1", "--c", "3", "--epsilon", "0.5", "--bound-M", "2",
+             "--workers", "2"]
+    assert dispatch(first) == 0
+    assert dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert seen[0] == dict(command="scenario", name="vdp", config=cfg, out=str(tmp_path / "a"),
+                           seed=5, t_end=2.0, dt=0.1, c=3.0, epsilon=0.5, bound_M=2.0, workers=2)
+    assert seen[1] == dict(command="simulate", config=cfg, out=str(tmp_path / "b"), seed=0,
+                           t_end=None, dt=None, c=None, epsilon=None, bound_M=None, workers=1)
 
 
 def test_missing_config_names_path(tmp_path, capsys):

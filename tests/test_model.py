@@ -149,15 +149,8 @@ def test_periodic_segments_hold_their_piece_at_the_right_endpoint():
 def test_identical_node_bounds_are_lipschitz_with_zero_beta():
     b = ts.pair_bounds_for_identical_nodes(4, 1.0, rho=2.0)
     for t in np.linspace(-3, 3, 7):
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
-                assert b.alpha(i, j, t) == 1.0
-                assert b.beta(i, j, t) == 0.0
-        iu, ju = np.triu_indices(4, k=1)
-        assert np.array_equal(b.alpha_vec(iu, ju, t), np.ones(6))
-        assert np.array_equal(b.beta_vec(ju, iu, t), np.zeros(6))
+        assert np.array_equal(b.alpha(t), np.ones(6))
+        assert np.array_equal(b.beta(t), np.zeros(6))
     assert b.time_constant and b.global_bounds
 
 
@@ -169,39 +162,46 @@ def test_consensus_bounds_give_zero_mu1():
 
 def test_callable_lipschitz_coefficient_uses_rho():
     b = ts.pair_bounds_for_identical_nodes(3, lambda t, r: r + t, rho=2.0)
-    assert b.alpha(0, 1, 1.0) == 3.0
-    assert b.beta(2, 0, 1.0) == 0.0
-    assert np.array_equal(b.alpha_vec([0, 2], [1, 0], 1.0), [3.0, 3.0])
-    assert np.array_equal(b.beta_vec([0, 2], [1, 0], 1.0), [0.0, 0.0])
+    assert np.array_equal(b.alpha(1.0), [3.0, 3.0, 3.0])
+    assert np.array_equal(b.beta(1.0), [0.0, 0.0, 0.0])
+    assert not b.time_constant
+
+
+def test_callable_lipschitz_coefficient_is_called_once_per_time():
+    calls = []
+    b = ts.pair_bounds_for_identical_nodes(6, lambda t, r: calls.append(t) or -1.0, rho=1.0)
+    assert np.array_equal(b.alpha(0.5), np.full(15, -1.0))
+    assert calls == [0.5]
+    calls.clear()
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * 6, ts.static_schedule(_eye_offdiag(6)))
+    ts.check_full_sync(system, b, 1.0, bound_M=1.0, epsilon=1e-3, grid_step=0.1)
+    assert len(calls) == 11  # one call per grid time, not one per pair
+    assert sorted(calls) == pytest.approx(np.linspace(0.0, 1.0, 11), abs=1e-12)
 
 
 def test_pair_bounds_symmetric_access_and_validation():
     rng = np.random.default_rng(0)
     alpha = rng.normal(size=(3, 3))
     b = ts.PairBoundSet.constant(3, alpha, 0.1, rho=1.0)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert b.alpha(i, j, 0.0) == b.alpha(j, i, 0.0)
-    iu, ju = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 0])
-    expected = [b.alpha(i, j, 0.0) for i, j in zip(iu, ju)]
-    assert np.array_equal(b.alpha_vec(iu, ju, 0.0), expected)
-    assert np.array_equal(b.alpha_vec(ju, iu, 0.0), expected)
-    assert np.array_equal(b.beta_vec(iu, ju, 0.0), np.full(4, 0.1))
-    with pytest.raises(ValueError):
-        b.alpha(0, 0, 0.0)
+    # pairs are unordered: alpha and its transpose give the same pair vector
+    iu, ju = np.triu_indices(3, k=1)
+    assert np.array_equal(b.alpha(0.0), 0.5 * (alpha[iu, ju] + alpha[ju, iu]))
+    assert np.array_equal(b.alpha(0.0), ts.PairBoundSet.constant(3, alpha.T, 0.1, 1.0).alpha(0.0))
+    assert np.array_equal(b.beta(0.0), np.full(3, 0.1))
+    grid = [0.0, 1.0]
+    nb = ts.PairBoundSet.constant(3, 0.0, np.arange(9.0).reshape(3, 3), rho=1.0)
+    for pair in [(1, 2), (2, 1)]:  # |2 beta_12| with beta_12 = (5 + 7) / 2
+        assert ts.compute_mu1(nb, grid, pairs=[pair]) == 12.0
     with pytest.raises(ValueError, match=r"invalid pair \(1, 1\)"):
-        b.alpha_vec([0, 1], [1, 1], 0.0)
+        ts.compute_mu1(b, grid, pairs=[(0, 1), (1, 1)])
     with pytest.raises(ValueError, match=r"invalid pair \(0, 3\)"):
-        b.beta_vec([0, 0], [1, 3], 0.0)
+        ts.compute_mu1(b, grid, pairs=[(0, 1), (0, 3)])
     with pytest.raises(ValueError):
         ts.PairBoundSet.constant(3, 0.0, -1.0, rho=1.0)
     bad = ts.PairBoundSet(3, 1.0, lambda i, j, t: 0.0, lambda i, j, t: -t)
-    with pytest.raises(ValueError):
-        bad.beta(0, 1, 1.0)
-    assert np.array_equal(bad.beta_vec([0, 1], [1, 2], 0.0), [0.0, 0.0])
+    assert np.array_equal(bad.beta(0.0), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"beta\(0, 1, 1\.0\) = -1\.0 is negative"):
-        bad.beta_vec([1, 2], [0, 1], 1.0)
+        bad.beta(1.0)
 
 
 def test_cluster_spec_validation():
@@ -258,3 +258,55 @@ def test_const_piece_matrices_are_frozen():
     assert isinstance(piece, _ConstPiece)
     with pytest.raises(ValueError):
         piece.matrix[0, 1] = 5.0
+
+
+# -- non-finite input -----------------------------------------------------------
+
+def test_constant_bounds_reject_nonfinite_values():
+    with pytest.raises(ValueError, match=r"alpha\(0, 1\) = nan is not finite"):
+        ts.PairBoundSet.constant(3, math.nan, 0.0, rho=1.0)
+    beta = np.zeros((3, 3))
+    beta[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"beta\(1, 2\) = inf is not finite"):
+        ts.PairBoundSet.constant(3, 0.0, beta, rho=1.0)
+    with pytest.raises(ValueError, match=r"alpha\(0, 1\) = nan is not finite"):
+        ts.pair_bounds_for_identical_nodes(3, math.nan, rho=1.0)
+
+
+def test_pair_bound_readers_reject_nonfinite_values():
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * 3, ts.static_schedule(_eye_offdiag(3)))
+    nan_alpha = ts.PairBoundSet(
+        3, 1.0, lambda i, j, t: math.nan if (i, j) == (1, 2) and t >= 1.0 else -1.0,
+        lambda i, j, t: 0.0,
+    )
+    with pytest.raises(ValueError, match=r"alpha\(1, 2, 1\.0\) = nan is not finite"):
+        ts.check_full_sync(system, nan_alpha, 2.0, 1.0, 1e-3)
+    inf_beta = ts.PairBoundSet(
+        3, 1.0, lambda i, j, t: -1.0, lambda i, j, t: math.inf if t >= 0.5 else 0.0
+    )
+    with pytest.raises(ValueError, match=r"beta\(0, 1, 0\.5\) = inf is not finite"):
+        ts.check_full_sync(system, inf_beta, 2.0, 1.0, 1e-3)
+
+
+def test_constant_piece_rejects_nonfinite_entry():
+    A = _eye_offdiag(3)
+    A[0, 2] = np.nan
+    with pytest.raises(ValueError, match=r"adjacency entry \(0, 2\) = nan is not finite"):
+        ts.static_schedule(A)
+    A[0, 2], A[1, 1] = 1.0, np.inf  # the diagonal is dropped, so it is no entry
+    assert np.array_equal(ts.static_schedule(A).sample(0.0), _eye_offdiag(3))
+
+
+def test_functional_piece_rejects_nonfinite_sample_naming_time():
+    def piece(t):
+        A = _eye_offdiag(3)
+        A[2, 1] = np.nan if t >= 1.0 else 1.0
+        return A
+
+    sched = ts.AdjacencySchedule(3, [0.0], [piece])
+    sched.sample(0.5)
+    with pytest.raises(ValueError, match=r"adjacency entry \(2, 1\) at t=1\.5 = nan is not finite"):
+        sched.sample(1.5)
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * 3, sched)
+    with pytest.raises(ValueError, match=r"\(2, 1\) at t=1\.0 = nan is not finite"):
+        ts.coupled_comparison_check(system, [-5.0] * 3, np.linspace(0.0, 2.0, 5))
