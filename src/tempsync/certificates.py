@@ -646,7 +646,8 @@ def check_cluster_sync(system: NetworkSystem, bounds: PairBoundSet,
     cross-difference sums to J.  The heterogeneity level combines mu1 over
     J-pairs with the external mismatch term mu2 (N - n) sqrt(2 n (n - 1)).
     With J equal to the full node set the certificate coincides exactly with
-    the full-network one.
+    the full-network one.  The bounds are read as whole pair vectors, so a
+    non-finite or negative bound on a pair outside J raises too.
     """
     cluster.validate_for(system.n_nodes)
     return _certify(

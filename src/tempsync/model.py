@@ -122,7 +122,7 @@ class _FuncPiece:
         m = np.array(self.fn(t), dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"piece returned shape {m.shape}, expected ({self.n}, {self.n})")
-        m.reshape(-1)[:: self.n + 1] = 0.0  # the diagonal, as a view
+        np.fill_diagonal(m, 0.0)
         return _finite(m, lambda i, j: f"adjacency entry ({i}, {j}) at t={t}")
 
 
@@ -345,29 +345,29 @@ class PairBoundSet:
     """
 
     def __init__(self, n_nodes, rho, alpha, beta, global_bounds=False):
+        pairs = self._setup(n_nodes, rho, global_bounds, False)._pairs
+        self._alpha = lambda t: np.array([float(alpha(i, j, t)) for i, j in pairs])
+        self._beta = lambda t: np.array([float(beta(i, j, t)) for i, j in pairs])
+
+    def _setup(self, n_nodes, rho, global_bounds, time_constant):
+        """Checks and fields shared by __init__ and _stored; returns self."""
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
         if rho <= 0:
             raise ValueError("rho must be positive")
-        self.n_nodes = int(n_nodes)
-        self.rho = float(rho)
-        self.global_bounds = bool(global_bounds)
-        iu, ju, _ = kern.pair_arrays(self.n_nodes)
-        self._pairs = pairs = list(zip(iu.tolist(), ju.tolist()))
-        self._alpha = lambda t: np.array([float(alpha(i, j, t)) for i, j in pairs])
-        self._beta = lambda t: np.array([float(beta(i, j, t)) for i, j in pairs])
+        self.n_nodes, self.rho = int(n_nodes), float(rho)
+        self.global_bounds, self.time_constant = bool(global_bounds), time_constant
+        self._pairs = list(zip(*(k.tolist() for k in kern.pair_arrays(self.n_nodes)[:2])))
+        return self
 
     @classmethod
     def _stored(cls, n_nodes, rho, alpha, beta, global_bounds):
         """Bounds stored as given: each a (P,) vector or a function t -> (P,)."""
-        out = cls(n_nodes, rho, None, None, global_bounds)
+        const = not (callable(alpha) or callable(beta))
+        out = cls.__new__(cls)._setup(n_nodes, rho, global_bounds, const)
         out._alpha, out._beta = (v if callable(v) else out._check(name, np.array(v, float))
                                  for name, v in (("alpha", alpha), ("beta", beta)))
         return out
-
-    @property
-    def time_constant(self) -> bool:
-        return not (callable(self._alpha) or callable(self._beta))
 
     def alpha(self, t: float) -> np.ndarray:
         """alpha_ij(t) over the pairs, as one (P,) vector."""

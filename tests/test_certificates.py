@@ -132,6 +132,25 @@ def test_pair_bound_forms_give_bit_identical_certificates():
     assert np.abs(solves[0].u - solves[1].u).max() <= 1e-12 * np.abs(solves[1].u).max()
 
 
+def test_transposed_functional_piece_loses_its_diagonal():
+    # a piece returning a transposed (Fortran-ordered) matrix with self-loops
+    # must be sampled and certified exactly like the same C-ordered matrix
+    n = 4
+    B = np.random.default_rng(8).uniform(0.5, 2.0, (n, n))
+    w = lambda t: 1.0 + 0.5 * np.sin(t)
+    assert (B.T * w(0.0)).flags.f_contiguous and np.all(np.diag(B) > 0.0)
+    f_sched = ts.AdjacencySchedule(n, [0.0], [lambda t: B.T * w(t)])
+    c_sched = ts.AdjacencySchedule(n, [0.0], [lambda t: np.ascontiguousarray(B.T) * w(t)])
+    for t in (0.0, 0.3, 1.7):
+        assert np.all(np.diag(f_sched.sample(t)) == 0.0)
+        assert np.array_equal(f_sched.sample(t), c_sched.sample(t))
+    bounds = ts.PairBoundSet.constant(n, -0.5, 0.0, rho=1.0)
+    docs = [json.dumps(ts.check_full_sync(ts.NetworkSystem([ts.zero_dynamics(1)] * n, s),
+                                          bounds, 2.0, 1.0, 1e-3).to_json_dict(), sort_keys=True)
+            for s in (f_sched, c_sched)]
+    assert docs[0] == docs[1]
+
+
 # -- window bounds -----------------------------------------------------------
 
 def test_mu1_zero_for_identical_nodes():
