@@ -102,19 +102,20 @@ def e_hat_series(states):
 def pair_sums(A, iu, ju, cols):
     """Coupling sums S and cross-difference sums D for the pairs (iu, ju).
 
+    A is one (n, n) matrix or a (T, n, n) stack; S and D are (P,) or (T, P).
     S runs over all nodes.  D runs over the node subset ``cols`` (all nodes
     for the full-network margin) and sums only its own terms, never adding
     and then subtracting |a_ij| and |a_ji|, so D >= 0 exactly.
     """
     A = _f64(A)
-    rowsum = A.sum(axis=1)
-    cross = A[iu, ju] + A[ju, iu]
-    S = cross + 0.5 * (rowsum[iu] + rowsum[ju] - cross)
-    absdiff = np.abs(A[ju] - A[iu])
+    rowsum = A.sum(axis=-1)
+    cross = A[..., iu, ju] + A[..., ju, iu]
+    S = cross + 0.5 * (rowsum[..., iu] + rowsum[..., ju] - cross)
+    absdiff = np.abs(A[..., ju, :] - A[..., iu, :])
     rows = np.arange(len(iu))
-    absdiff[rows, iu] = 0.0   # the terms k = i and k = j are no terms of D
-    absdiff[rows, ju] = 0.0
-    return S, absdiff[:, cols].sum(axis=1)
+    absdiff[..., rows, iu] = 0.0   # the terms k = i and k = j are no terms of D
+    absdiff[..., rows, ju] = 0.0
+    return S, absdiff[..., cols].sum(axis=-1)
 
 
 def delta_gamma(A, alpha):

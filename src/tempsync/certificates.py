@@ -63,33 +63,37 @@ def _comparison(A, alpha):
     return kern.assemble_comparison(A, delta), delta, gamma
 
 
+_STACK_SIZE = 2 ** 15  # largest (T, P, n) buffer of one pair_sums call on a functional piece
+
+
 def _grid_delta_gamma(system, bounds, times, nodes):
     """delta and gamma sampled on a time grid for pairs within ``nodes``.
 
     delta keeps the full coupling sum over all N nodes; gamma restricts the
-    cross-difference sum to ``nodes`` (the cluster margin).  Piecewise
-    constant schedules and time-constant bounds are evaluated once per
-    segment.
+    cross-difference sum to ``nodes`` (the cluster margin).  A constant
+    piece takes one pair_sums call per segment, a functional piece one per
+    chunk of its grid times; time-constant bounds are read once.
     """
     c = system.global_coupling
     nodes = np.asarray(nodes, dtype=np.int64)
     iu, ju = (nodes[k] for k in kern.pair_arrays(len(nodes))[:2])
     sel = kern.pair_arrays(system.n_nodes)[2][iu, ju]  # the pairs in bounds' vectors
-    delta, D = np.empty((2, len(times), len(iu)))
+    S, D = np.empty((2, len(times), len(iu)))
     segs = system.schedule.segments_between(times[0], times[-1] + 1e-12)
     starts = np.array([a for a, _, _ in segs])
     seg_of = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segs) - 1)
+    chunk = max(1, _STACK_SIZE // (len(iu) * system.n_nodes))
     for s, (a, b, piece) in enumerate(segs):
         idx = np.nonzero(seg_of == s)[0]
         if idx.size == 0:
             continue
-        if isinstance(piece, _ConstPiece):
-            S, D[idx] = kern.pair_sums(c * piece.matrix, iu, ju, nodes)
-        else:
-            S, D[idx] = map(np.array, zip(*[kern.pair_sums(c * piece(t), iu, ju, nodes)
-                                             for t in times[idx]]))
-        at = times[idx[:1]] if bounds.time_constant else times[idx]
-        delta[idx] = np.array([bounds.alpha(t)[sel] for t in at]) - S
+        const = isinstance(piece, _ConstPiece)  # a one-matrix stack for all its times
+        width = idx.size if const else chunk
+        for ch in (idx[k:k + width] for k in range(0, idx.size, width)):
+            A = piece.matrix[None] if const else np.stack([piece(t) for t in times[ch]])
+            S[ch], D[ch] = kern.pair_sums(c * A, iu, ju, nodes)
+    at = times[:1] if bounds.time_constant else times
+    delta = np.array([bounds.alpha(t)[sel] for t in at]) - S
     return delta, 2.0 * np.abs(delta) - D, (iu, ju)
 
 
@@ -219,13 +223,22 @@ class ComparisonSystem:
         if self._system is not None:
             c = self._system.global_coupling
             bounds = self._bounds
-            for a, b, piece in self._system.schedule.segments_between(t0, t1):
-                def E_fn(t, piece=piece):
-                    A = c * np.asarray(piece(t), dtype=float)
-                    return _comparison(A, bounds.alpha(t))[0]
+            last = {}  # (E, -S) of the one constant segment sampled last, so memory stays O(P^2)
+            for k, (a, b, piece) in enumerate(self._system.schedule.segments_between(t0, t1)):
+                const = isinstance(piece, _ConstPiece)
+                if const:
+                    def E_fn(t, k=k, piece=piece):
+                        if k not in last:  # only the diagonal 2 (alpha(t) - S) moves with t
+                            last.clear()
+                            last[k] = _comparison(c * piece.matrix, np.zeros(self.dim))[:2]
+                        E = last[k][0].copy()
+                        np.fill_diagonal(E, 2.0 * (bounds.alpha(t) + last[k][1]))
+                        return E
+                else:
+                    def E_fn(t, piece=piece):
+                        return _comparison(c * np.asarray(piece(t), float), bounds.alpha(t))[0]
 
-                is_const = isinstance(piece, _ConstPiece) and bounds.time_constant
-                out.append((a, b, E_fn, self.beta, is_const))
+                out.append((a, b, E_fn, self.beta, const and bounds.time_constant))
             return out
         cuts = [t0, t1]
         if self._breakpoints is not None:
@@ -570,7 +583,8 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
 
     assumptions = [
         f"rho={bounds.rho!r}",
-        f"grid-verified on [{times[0]!r}, {times[-1]!r}] with step {grid_step!r}",
+        f"grid-verified on [{float(times[0])!r}, {float(times[-1])!r}] "
+        f"with step {float(grid_step)!r}",
         "margins taken as infima over the finite horizon, not over all times",
     ]
     if bounds.global_bounds:

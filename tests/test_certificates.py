@@ -151,6 +151,32 @@ def test_transposed_functional_piece_loses_its_diagonal():
     assert docs[0] == docs[1]
 
 
+def test_functional_grid_in_chunks_matches_per_time_loop():
+    # a functional piece is stacked over its grid times in chunks; across
+    # several chunks delta and gamma keep the bits of one pair_sums per time
+    from tempsync import certificates
+    rng = np.random.default_rng(21)
+    n, c = 12, 1.3
+    B, W = rng.normal(size=(2, n, n))
+    piece = lambda t: B * np.cos(t) + W * np.sin(2.0 * t)
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.AdjacencySchedule(n, [0.0], [piece]),
+                              global_coupling=c)
+    a0 = rng.normal(size=n * (n - 1) // 2)
+    bounds = ts.PairBoundSet(n, 1.0, lambda i, j, t: a0[pair_index(i, j, n)] + np.sin(t + i),
+                             lambda i, j, t: 0.0)
+    times = np.linspace(0.0, 6.0, 601)
+    for nodes in (np.arange(n), np.array([1, 4, 5, 9])):
+        iu, ju = (nodes[k] for k in pair_arrays(len(nodes))[:2])
+        assert times.size > certificates._STACK_SIZE // (len(iu) * n)  # more than one chunk
+        delta, gamma, _ = _grid_delta_gamma(system, bounds, times, nodes)
+        sel = pair_arrays(n)[2][iu, ju]
+        for k, t in enumerate(times):
+            S, D = pair_sums(c * system.schedule.sample(t), iu, ju, nodes)
+            d = bounds.alpha(t)[sel] - S
+            assert delta[k].tobytes() == d.tobytes()
+            assert gamma[k].tobytes() == (2.0 * np.abs(d) - D).tobytes()
+
+
 # -- window bounds -----------------------------------------------------------
 
 def test_mu1_zero_for_identical_nodes():
@@ -413,6 +439,50 @@ def test_decay_check_block_norms_match_principal_matrix(n, time_varying):
         assert chk.verified == (ratio <= 1.0 + 1e-6)
 
 
+def test_constant_segments_build_e_once_per_pass_with_time_varying_bounds(monkeypatch):
+    # per-pair callable bounds on a 3-segment constant schedule: a solve
+    # assembles E once per segment, a decay check once per segment in each of
+    # its two passes (margins, then propagation), and every sampled E still
+    # equals the full build at its time bit for bit
+    from tempsync import certificates
+    rng = np.random.default_rng(17)
+    n = 4
+    segs = [(t, rng.uniform(1.0, 2.0, (n, n))) for t in (0.0, 1.0, 2.0)]
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.build_switching_schedule(n, segs),
+                              global_coupling=1.5)
+    w = rng.uniform(1.0, 3.0, (n, n))
+    bounds = ts.PairBoundSet(n, 1.0, lambda i, j, t: 0.3 * math.sin(w[i, j] * t) - 0.2,
+                             lambda i, j, t: 0.1 * (1.0 + math.cos(t)))
+    cs = ComparisonSystem.from_network(system, bounds)
+    samples, assembled = [], []
+    original_segments = ComparisonSystem._segments
+
+    def recording_segments(self, t0, t1):
+        pieces = system.schedule.segments_between(t0, t1)
+        out = []
+        for (a, b, E_fn, b_fn, is_const), (_, _, piece) in zip(original_segments(self, t0, t1),
+                                                               pieces):
+            def E_rec(t, E_fn=E_fn, A=piece.matrix):
+                E = E_fn(t)
+                samples.append((t, A, E.copy()))
+                return E
+            out.append((a, b, E_rec, b_fn, is_const))
+        return out
+
+    original_assemble = ts._kernels.assemble_comparison
+    monkeypatch.setattr(ComparisonSystem, "_segments", recording_segments)
+    monkeypatch.setattr(ts._kernels, "assemble_comparison",
+                        lambda *args: assembled.append(1) or original_assemble(*args))
+    ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 3.0, ts.SolverConfig(dt=0.05))
+    assert len(assembled) == len(segs)
+    del assembled[:]
+    chk = ts.dominance_decay_check(cs, np.linspace(0.0, 3.0, 31))
+    assert len(assembled) == 2 * len(segs)
+    assert chk.gamma_bar > 0 and len(samples) > 100
+    for t, A, E in samples:
+        assert E.tobytes() == certificates._comparison(1.5 * A, bounds.alpha(t))[0].tobytes()
+
+
 # -- certificates ------------------------------------------------------------
 
 def test_full_sync_identical_complete_graph_holds():
@@ -469,6 +539,14 @@ def test_gamma_failure_names_first_exact_tie():
     tied = [p for p in sorted(exact) if exact[p] == min(exact.values())]
     assert tied == [(0, 8), (1, 6), (2, 7), (2, 8), (3, 8), (4, 9)]
     assert cert.verdict.render() == "fails(gamma,(1,9),t=0)"
+
+
+def test_assumptions_print_grid_times_as_plain_floats():
+    system = ts.build_contrarian_ring(7, a=2.0, a12=1.0)
+    bounds = ts.pair_bounds_for_identical_nodes(7, -0.5, rho=1.0)
+    cert = ts.check_full_sync(system, bounds, 2.0, bound_M=1.0, epsilon=1e-3)
+    assert cert.assumptions[1] == "grid-verified on [0.0, 2.0] with step 0.01"
+    assert cert.to_json_dict()["assumptions"][1] == cert.assumptions[1]
 
 
 def test_certificate_json_export_contract(tmp_path):

@@ -76,6 +76,23 @@ def test_pair_sums_d_is_a_sum_of_its_own_terms():
         assert np.array_equal(gamma, 2.0 * np.abs(delta) - D)
 
 
+def test_pair_sums_on_a_stack_equals_per_matrix_calls():
+    # a (T, n, n) stack gives, row by row, the bits of one call per matrix
+    rng = np.random.default_rng(9)
+    for n in range(2, 13):
+        T = int(rng.integers(1, 6))
+        A = rng.normal(size=(T, n, n)) * (rng.random((T, n, n)) < 0.6)
+        cols = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        for nodes in (np.arange(n), cols):  # all pairs, then the pairs within cols
+            iu, ju = (nodes[k] for k in kern.pair_arrays(len(nodes))[:2])
+            S, D = kern.pair_sums(A, iu, ju, nodes)
+            assert S.shape == D.shape == (T, len(iu))
+            for t in range(T):
+                S_t, D_t = kern.pair_sums(A[t], iu, ju, nodes)
+                assert S[t].tobytes() == S_t.tobytes()
+                assert D[t].tobytes() == D_t.tobytes()
+
+
 def _assemble_comparison_loops(A, delta, iu, ju, pidx):
     """Per-entry loop form of the comparison matrix, the reference for the kernel."""
     P = iu.shape[0]
