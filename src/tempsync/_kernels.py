@@ -69,7 +69,8 @@ def laplacian(A):
 
 def coupling_term(L, X, c):
     """c * sum_k a_ik (x_k - x_i) stacked over nodes, as c L X; L (n, n), X (n, m)."""
-    return float(c) * (L @ X)
+    LX = L @ X
+    return LX if c == 1.0 else float(c) * LX  # 1.0 * v == v exactly
 
 
 # ---------------------------------------------------------------------------

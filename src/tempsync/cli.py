@@ -307,9 +307,10 @@ def _cmd_pullback_check(cfg, args, out):
     b_sin = float(lin.get("sin", 0.0))
     b_const = float(lin.get("const", 0.0))
     dim = int(cfg.get("dim", 1))
+    ones = np.ones(dim)
 
     def rhs(t, x):
-        return a * x + (b_sin * math.sin(t) + b_const) * np.ones(dim)
+        return a * x + (b_sin * math.sin(t) + b_const) * ones
 
     times = [float(t) for t in _require(cfg, "times", list)]
     s_max = float(cfg.get("s_max", 64.0))

@@ -10,6 +10,7 @@ Runge-Kutta-Fehlberg 4(5) pair provides adaptive stepping for stiff runs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,34 +123,49 @@ def _stages(system: NetworkSystem, piece):
     """The coupled field (t, X) -> F(t, X) + c L(t) X while ``piece`` is active.
 
     The graph Laplacian L of the piece's adjacency is built once for a
-    constant piece, and once per distinct sample time otherwise (RK4's two
-    midpoint stages share one sample).  The node fields are checked finite
-    before the coupling product, so a fault names its node and stage time.
+    constant piece.  A functional piece keeps the Laplacians of its last six
+    sample times, keyed by t (A(t) is deterministic per t): RK4's two
+    midpoint stages share one sample, and an RKF45 attempt reuses the
+    previous attempt's c = 1 sample after an accepted step, or its stage-0
+    sample after a rejected one.  The node fields are checked finite before
+    the coupling product, so a fault names its node and stage time.
     """
     c = system.global_coupling
+    # looked up per segment, not at import, so wrappers installed later apply
+    eval_nodes, coupling_term = system.eval_nodes, kern.coupling_term
     if isinstance(piece, _ConstPiece):
         L = kern.laplacian(piece.matrix)
 
-        def laplacian_at(t):
-            return L
-    else:
-        last = [None, None]  # (time, Laplacian) of the latest sample
+        def stage(t, X):
+            F = eval_nodes(t, X)
+            if not np.isfinite(F).all():
+                _node_fault(t, F)
+            return F + coupling_term(L, X, c)
 
-        def laplacian_at(t):
-            if last[0] != t:
-                last[:] = t, kern.laplacian(piece(t))
-            return last[1]
+        return stage
+
+    cache = {}  # sample time -> Laplacian, least recently used first
 
     def stage(t, X):
-        F = system.eval_nodes(t, X)
+        F = eval_nodes(t, X)
         if not np.isfinite(F).all():
-            bad = int(np.nonzero(~np.isfinite(F).all(axis=1))[0][0])
-            raise IntegrationError(
-                f"node {bad} produced a non-finite field value at t={t}", t, node=bad
-            )
-        return F + kern.coupling_term(laplacian_at(t), X, c)
+            _node_fault(t, F)
+        Lt = cache.pop(t, None)
+        if Lt is None:
+            Lt = kern.laplacian(piece(t))
+            if len(cache) == 6:
+                del cache[next(iter(cache))]
+        cache[t] = Lt
+        return F + coupling_term(Lt, X, c)
 
     return stage
+
+
+def _node_fault(t, F):
+    bad = int(np.nonzero(~np.isfinite(F).all(axis=1))[0][0])
+    raise IntegrationError(
+        f"node {bad} produced a non-finite field value at t={t}", t, node=bad
+    )
 
 
 class _Recorder:
@@ -164,7 +180,7 @@ class _Recorder:
         if force or self.count % self.stride == 0:
             if t > self.times[-1]:
                 self.times.append(t)
-                self.states.append(X.copy())
+                self.states.append(X)  # every step makes a fresh X
 
     def build(self, provenance: dict) -> Trajectory:
         return Trajectory(
@@ -228,12 +244,14 @@ def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
         h = min(h, b - t)
         if h < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t}", t)
+        hA = h * _RKF_A  # row s, first s entries: stage s's input weights
         K[0] = f(t, X)
         for s in range(1, 6):
-            K[s] = f(t + _RKF_C[s] * h, X + ((h * _RKF_A[s, :s]) @ Kf[:s]).reshape(X.shape))
+            K[s] = f(t + _RKF_C[s] * h, X + (hA[s, :s] @ Kf[:s]).reshape(X.shape))
         X5 = X + ((h * _RKF_B5) @ Kf).reshape(X.shape)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(X), np.abs(X5))
-        err = np.sqrt(np.mean(((h * _RKF_E) @ Kf / scale.reshape(-1)) ** 2))
+        q = ((h * _RKF_E) @ Kf / scale.reshape(-1)) ** 2
+        err = math.sqrt(np.add.reduce(q) / q.size)  # == np.sqrt(np.mean(q))
         if err > 1.0 and h <= 1e-12:
             raise IntegrationError(
                 f"step of size {h:.3g} at t={t} rejected (error ratio {err:.3g}); "

@@ -119,10 +119,10 @@ class _FuncPiece:
         self.n = n
 
     def __call__(self, t: float) -> np.ndarray:
-        m = np.array(self.fn(t), dtype=float)
+        m = np.array(self.fn(t), dtype=float, order="C")  # own copy, flat view = diagonal
         if m.shape != (self.n, self.n):
             raise ValueError(f"piece returned shape {m.shape}, expected ({self.n}, {self.n})")
-        np.fill_diagonal(m, 0.0)
+        m.reshape(-1)[:: self.n + 1] = 0.0  # the diagonal, as a view
         return _finite(m, lambda i, j: f"adjacency entry ({i}, {j}) at t={t}")
 
 

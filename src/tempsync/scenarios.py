@@ -134,12 +134,16 @@ def _vdp_system(n_nodes, delta_t, c, horizon, rng, eps0, density):
     ]
     schedule = build_switching_schedule(n_nodes, segments)
 
+    last = [None, None]  # (t, -eps0 (1 + sin(omega t)/2)) of the latest call
+
     def stacked(t, X):
+        if last[0] != t:
+            last[:] = t, -eps0 * (1.0 + 0.5 * np.sin(omega * t))
         u = X[:, 0]
         v = X[:, 1]
         out = np.empty_like(X)
         out[:, 0] = v + b * u - u ** 3 / 3.0
-        out[:, 1] = -eps0 * (1.0 + 0.5 * np.sin(omega * t)) * u
+        out[:, 1] = last[1] * u
         return out
 
     return NetworkSystem(NodeField(2, stacked), schedule, global_coupling=c / n_nodes)

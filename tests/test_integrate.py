@@ -413,3 +413,34 @@ def test_rk45_zero_weight_stage_fault_names_node_and_stage_time():
     with pytest.raises(ts.IntegrationError, match=r"node 2 .* t=0\.025") as exc:
         ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, cfg)
     assert exc.value.node == 2 and exc.value.t_last == 0.025
+
+
+def test_rk45_evaluations_are_six_per_attempt_and_samples_at_most_five(monkeypatch):
+    # each RKF45 attempt evaluates the node fields at its six stages; the
+    # adjacency is sampled at most five times per attempt, since stage 0
+    # reuses the previous attempt's c = 1 sample (accepted) or stage-0 sample
+    # (rejected)
+    calls = {"eval_nodes": 0, "piece": 0}
+    eval_nodes = ts.NetworkSystem.eval_nodes
+
+    def counted_eval_nodes(self, t, X):
+        calls["eval_nodes"] += 1
+        return eval_nodes(self, t, X)
+
+    monkeypatch.setattr(ts.NetworkSystem, "eval_nodes", counted_eval_nodes)
+    rng = np.random.default_rng(3)
+    B = _signed(rng, 4)
+    freqs = rng.uniform(2.0, 6.0, (4, 4))
+
+    def piece(t):
+        calls["piece"] += 1
+        return B * (1.0 + 0.5 * np.sin(freqs * t))
+
+    system = ts.NetworkSystem(ts.NodeField(1, lambda t, X: -3.0 * X + np.sin(5.0 * t)),
+                              ts.AdjacencySchedule(4, [0.0], [piece]))
+    cfg = ts.SolverConfig(method="rk45", dt=1.0, rtol=1e-8, atol=1e-10)
+    traj = ts.integrate(system, 0.0, rng.normal(size=(4, 1)), 3.0, cfg)
+    accepted = len(traj.times) - 1
+    attempts, rest = divmod(calls["eval_nodes"], 6)
+    assert rest == 0 and attempts > accepted >= 10  # some steps were rejected
+    assert calls["piece"] <= 5 * attempts + 1

@@ -310,3 +310,23 @@ def test_functional_piece_rejects_nonfinite_sample_naming_time():
     system = ts.NetworkSystem([ts.zero_dynamics(1)] * 3, sched)
     with pytest.raises(ValueError, match=r"\(2, 1\) at t=1\.0 = nan is not finite"):
         ts.coupled_comparison_check(system, [-5.0] * 3, np.linspace(0.0, 2.0, 5))
+
+
+def test_functional_piece_never_mutates_what_its_callable_returns():
+    # the piece zeroes the diagonal of its own copy: a callable that returns
+    # a read-only array, or one array it keeps and returns again, sees it
+    # unchanged, and every sample still has a zero diagonal
+    kept = np.random.default_rng(5).uniform(0.5, 2.0, (3, 3))
+    frozen = kept.copy()
+    frozen.setflags(write=False)
+    before = kept.copy()
+    for source in (kept, frozen, kept.T):
+        sched = ts.AdjacencySchedule(3, [0.0], [lambda t, m=source: m])
+        system = ts.NetworkSystem([ts.zero_dynamics(1)] * 3, sched)
+        ts.integrate(system, 0.0, np.arange(3.0).reshape(3, 1), 0.1,
+                     ts.SolverConfig(method="rk45", dt=0.05))
+        for t in (0.0, 0.7):
+            A = sched.sample(t)
+            assert np.all(np.diag(A) == 0.0)
+            assert np.array_equal(A + np.diag(np.diag(source)), source)
+    assert np.array_equal(kept, before) and np.array_equal(frozen, before)
