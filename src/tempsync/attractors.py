@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,17 +58,19 @@ def dissipativity_from_onesided(l, f_at_zero_sq, gamma: float, eps: float):
     return alpha, beta, gamma - 2.0 * eps
 
 
-@dataclass(frozen=True)
 class DissipativityData:
     """One-sided rate l with exponential envelope (K, gamma) and the derived
     dissipativity pair."""
 
-    l: Callable[[float], float]
-    K: float
-    gamma: float
-    alpha: Callable[[float], float]
-    beta_diss: Callable[[float], float]
-    gamma_bar_diss: float
+    def __init__(self, l: Callable[[float], float], K: float, gamma: float,
+                 alpha: Callable[[float], float], beta_diss: Callable[[float], float],
+                 gamma_bar_diss: float):
+        self.l = l
+        self.K = K
+        self.gamma = gamma
+        self.alpha = alpha
+        self.beta_diss = beta_diss
+        self.gamma_bar_diss = gamma_bar_diss
 
     @classmethod
     def build(cls, l, f_at_zero_sq, K: float, gamma: float, eps: float) -> "DissipativityData":
@@ -113,12 +114,12 @@ def fit_sl2_envelope(l, grid, inflate: float = 1.01):
     return K, gamma, certified
 
 
-@dataclass
 class PullbackEstimate:
-    state: np.ndarray
-    gap: float
-    depth: float
-    converged: bool
+    def __init__(self, state: np.ndarray, gap: float, depth: float, converged: bool):
+        self.state = state
+        self.gap = gap
+        self.depth = depth
+        self.converged = converged
 
 
 def pullback_trajectory(rhs, t: float, s_max: float, x0, cfg: SolverConfig | None = None,
@@ -163,15 +164,16 @@ def ultimate_bound(K: float, gamma_bar: float, mu: float) -> float:
     return K * mu / (1.0 - math.exp(-gamma_bar))
 
 
-@dataclass
 class CoupledComparisonCheck:
     """Row-dominance check of C(t) = diag(l_i(t)) + 2 [a_ik(t)]."""
 
-    matrix: Callable[[float], np.ndarray]
-    verdict: bool
-    gamma: float
-    n_nodes: int
-    grid: tuple[float, float, float]
+    def __init__(self, matrix: Callable[[float], np.ndarray], verdict: bool, gamma: float,
+                 n_nodes: int, grid: tuple[float, float, float]):
+        self.matrix = matrix
+        self.verdict = verdict
+        self.gamma = gamma
+        self.n_nodes = n_nodes
+        self.grid = grid
 
     def to_json_dict(self) -> dict:
         t0, t1, step = self.grid

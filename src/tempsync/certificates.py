@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -218,7 +217,10 @@ class ComparisonSystem:
         return np.asarray(self._beta(t), dtype=float).reshape(self.dim)
 
     def _segments(self, t0, t1):
-        """(a, b, E_fn, beta_fn, is_const) covering [t0, t1], split at breaks."""
+        """(a, b, E_fn, beta_fn, is_const) covering [t0, t1], split at breaks.
+
+        E_fn(t) returns E(t) already checked by _metzler.
+        """
         out = []
         if self._system is not None:
             c = self._system.global_coupling
@@ -228,15 +230,20 @@ class ComparisonSystem:
                 const = isinstance(piece, _ConstPiece)
                 if const:
                     def E_fn(t, k=k, piece=piece):
-                        if k not in last:  # only the diagonal 2 (alpha(t) - S) moves with t
+                        built = k not in last
+                        if built:  # only the diagonal 2 (alpha(t) - S) moves with t
                             last.clear()
                             last[k] = _comparison(c * piece.matrix, np.zeros(self.dim))[:2]
                         E = last[k][0].copy()
-                        np.fill_diagonal(E, 2.0 * (bounds.alpha(t) + last[k][1]))
-                        return E
+                        d = 2.0 * (bounds.alpha(t) + last[k][1])
+                        np.fill_diagonal(E, d)
+                        # the fixed off-diagonal part is checked once per build
+                        return E if not built and np.isfinite(d).all() else _metzler(E, t)
                 else:
                     def E_fn(t, piece=piece):
-                        return _comparison(c * np.asarray(piece(t), float), bounds.alpha(t))[0]
+                        return _metzler(
+                            _comparison(c * np.asarray(piece(t), float), bounds.alpha(t))[0], t
+                        )
 
                 out.append((a, b, E_fn, self.beta, const and bounds.time_constant))
             return out
@@ -245,14 +252,14 @@ class ComparisonSystem:
             cuts += [float(b) for b in self._breakpoints if t0 < b < t1]
         cuts = sorted(set(cuts))
         for a, b in zip(cuts[:-1], cuts[1:]):
-            out.append((a, b, self.E, self.beta, self.piecewise_constant))
+            out.append((a, b, lambda t: _metzler(self.E(t), t), self.beta, self.piecewise_constant))
         return out
 
 
-@dataclass
 class ComparisonTrajectory:
-    times: np.ndarray
-    u: np.ndarray
+    def __init__(self, times: np.ndarray, u: np.ndarray):
+        self.times = times
+        self.u = u
 
 
 def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
@@ -279,13 +286,11 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
         n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
         h = (b - a) / n_steps
         if is_const:
-            out = kern.rk4_const_linear(_metzler(E_fn(a), a), b_fn(a), u, h, n_steps)
+            out = kern.rk4_const_linear(E_fn(a), b_fn(a), u, h, n_steps)
         else:
             ts = a + h * np.arange(n_steps + 1)
             ts[-1] = b
-            out = kern.rk4_sampled_linear(
-                lambda t, E_fn=E_fn: _metzler(E_fn(t), t), b_fn, ts, u
-            )
+            out = kern.rk4_sampled_linear(E_fn, b_fn, ts, u)
         u = out[-1]
         for s in range(1, n_steps + 1):
             count += 1
@@ -297,12 +302,12 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
     return ComparisonTrajectory(np.asarray(times), np.maximum(np.asarray(rows), 0.0))
 
 
-@dataclass
 class DecayCheck:
-    gamma_bar: float
-    verified: bool
-    max_ratio: float
-    anchors: list
+    def __init__(self, gamma_bar: float, verified: bool, max_ratio: float, anchors: list):
+        self.gamma_bar = gamma_bar
+        self.verified = verified
+        self.max_ratio = max_ratio
+        self.anchors = anchors
 
 
 def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
@@ -341,7 +346,7 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
             continue
         sample_at = [grid[idx[0]]] if is_const else grid[idx]
         for t in sample_at:
-            margins = -_metzler(E_fn(t), t).sum(axis=1)
+            margins = -E_fn(t).sum(axis=1)
             gamma_bar = min(gamma_bar, float(margins.min()))
     if gamma_bar <= 0:
         return DecayCheck(gamma_bar, False, np.inf, [])
@@ -412,14 +417,12 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
                 close = np.abs(lengths[:q] - lengths[q]) <= same
                 if close.any():
                     lengths[q] = lengths[np.argmax(close)]
-            E = _metzler(E_fn(tseg[0]), tseg[0])
+            E = E_fn(tseg[0])
             run, V = kern.rk4_const_principal(E, np.repeat(lengths / sub, sub), V, first)
         else:
             ts = (tseg[:-1, None] + (lengths / sub)[:, None] * np.arange(sub)).ravel()
             ts = np.append(ts, tseg[-1])
-            run, V = kern.rk4_sampled_principal(
-                lambda t, E_fn=E_fn: _metzler(E_fn(t), t), ts, V, first
-            )
+            run, V = kern.rk4_sampled_principal(E_fn, ts, V, first)
         norms_tl[pos:end + 1] = run[::sub]
         pos = end
     return norms_tl[np.searchsorted(timeline, grid)]
@@ -429,12 +432,19 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Verdict:
-    status: str                      # "holds" | "fails"
-    condition: str | None = None     # "delta" | "gamma"
-    pair: tuple[int, int] | None = None  # 0-based node indices
-    t: float | None = None
+    def __init__(self, status: str, condition: str | None = None,
+                 pair: tuple[int, int] | None = None, t: float | None = None):
+        self.status = status          # "holds" | "fails"
+        self.condition = condition    # "delta" | "gamma"
+        self.pair = pair              # 0-based node indices
+        self.t = t
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return (self.status, self.condition, self.pair, self.t) == (
+            other.status, other.condition, other.pair, other.t)
 
     @property
     def holds(self) -> bool:
@@ -447,32 +457,36 @@ class Verdict:
         return f"fails({self.condition},({i + 1},{j + 1}),t={self.t:.6g})"
 
 
-@dataclass
 class GridSpec:
-    t0: float
-    t1: float
-    step: float
+    def __init__(self, t0: float, t1: float, step: float):
+        self.t0 = t0
+        self.t1 = t1
+        self.step = step
 
     def to_dict(self) -> dict:
         return {"t0": self.t0, "t1": self.t1, "step": self.step}
 
 
-@dataclass
 class SyncCertificate:
-    n_nodes: int
-    grid: GridSpec
-    delta_min: np.ndarray
-    delta_max: np.ndarray
-    gamma_bar: float
-    mu1: float
-    rho: float
-    bound_M: float
-    epsilon: float
-    verdict: Verdict
-    asymptotic_bound: float | None
-    settle_time: float | None
-    assumptions: list[str] = field(default_factory=list)
-    mu2: float | None = None
+    def __init__(self, n_nodes: int, grid: GridSpec, delta_min: np.ndarray,
+                 delta_max: np.ndarray, gamma_bar: float, mu1: float, rho: float,
+                 bound_M: float, epsilon: float, verdict: Verdict,
+                 asymptotic_bound: float | None, settle_time: float | None,
+                 assumptions: list[str] | None = None, mu2: float | None = None):
+        self.n_nodes = n_nodes
+        self.grid = grid
+        self.delta_min = delta_min
+        self.delta_max = delta_max
+        self.gamma_bar = gamma_bar
+        self.mu1 = mu1
+        self.rho = rho
+        self.bound_M = bound_M
+        self.epsilon = epsilon
+        self.verdict = verdict
+        self.asymptotic_bound = asymptotic_bound
+        self.settle_time = settle_time
+        self.assumptions = [] if assumptions is None else assumptions
+        self.mu2 = mu2
 
     def to_json_dict(self) -> dict:
         return {
@@ -500,11 +514,13 @@ class SyncCertificate:
             fh.write("\n")
 
 
-@dataclass
 class ClusterCertificate(SyncCertificate):
-    cluster: ClusterSpec | None = None
-    gamma_bar_J: float = math.nan
-    combined_mu: float = math.nan
+    def __init__(self, *args, cluster: ClusterSpec | None = None,
+                 gamma_bar_J: float = math.nan, combined_mu: float = math.nan, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cluster = cluster
+        self.gamma_bar_J = gamma_bar_J
+        self.combined_mu = combined_mu
 
     def to_json_dict(self) -> dict:
         doc = super().to_json_dict()
@@ -670,11 +686,11 @@ def check_cluster_sync(system: NetworkSystem, bounds: PairBoundSet,
     )
 
 
-@dataclass
 class RefinedBounds:
-    asymptotic_bound: float            # epsilon + bound_M / c
-    linf_bound: float | None           # epsilon + |beta|_inf / (c gamma_bar)
-    sharp_sync: bool
+    def __init__(self, asymptotic_bound: float, linf_bound: float | None, sharp_sync: bool):
+        self.asymptotic_bound = asymptotic_bound  # epsilon + bound_M / c
+        self.linf_bound = linf_bound              # epsilon + |beta|_inf / (c gamma_bar)
+        self.sharp_sync = sharp_sync
 
 
 def refined_bounds(cert: SyncCertificate, c: float, beta_inf: float | None = None) -> RefinedBounds:
@@ -699,10 +715,10 @@ def refined_bounds(cert: SyncCertificate, c: float, beta_inf: float | None = Non
     return out
 
 
-@dataclass
 class PersistenceMargins:
-    heterogeneity_bound: Callable[[float], float]
-    adjacency_margin: float
+    def __init__(self, heterogeneity_bound: Callable[[float], float], adjacency_margin: float):
+        self.heterogeneity_bound = heterogeneity_bound
+        self.adjacency_margin = adjacency_margin
 
 
 def persistence_margins(cert: SyncCertificate, rho: float, n_nodes: int) -> PersistenceMargins:

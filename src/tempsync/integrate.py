@@ -9,9 +9,7 @@ Runge-Kutta-Fehlberg 4(5) pair provides adaptive stepping for stiff runs.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,25 +26,24 @@ class IntegrationError(RuntimeError):
         self.node = node
 
 
-@dataclass(frozen=True)
 class SolverConfig:
     """method "rk4" (fixed step dt) or "rk45" (adaptive, rtol/atol)."""
 
-    method: str = "rk4"
-    dt: float = 1e-3
-    rtol: float = 1e-6
-    atol: float = 1e-9
-    record_stride: int = 1
-
-    def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
+    def __init__(self, method: str = "rk4", dt: float = 1e-3, rtol: float = 1e-6,
+                 atol: float = 1e-9, record_stride: int = 1):
+        if method not in ("rk4", "rk45"):
             raise ValueError("method must be 'rk4' or 'rk45'")
-        if self.dt <= 0:
+        if dt <= 0:
             raise ValueError("dt must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
+        if rtol <= 0 or atol <= 0:
             raise ValueError("rtol and atol must be positive")
-        if self.record_stride < 1:
+        if record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
+        self.method = method
+        self.dt = dt
+        self.rtol = rtol
+        self.atol = atol
+        self.record_stride = record_stride
 
     def digest(self) -> str:
         return (
@@ -55,13 +52,13 @@ class SolverConfig:
         )
 
 
-@dataclass
 class Trajectory:
     """Sampled solution: times (T,), states (T, n, m)."""
 
-    times: np.ndarray
-    states: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, times: np.ndarray, states: np.ndarray, provenance: dict | None = None):
+        self.times = times
+        self.states = states
+        self.provenance = {} if provenance is None else provenance
 
     @property
     def n_nodes(self) -> int:
@@ -81,14 +78,14 @@ class Trajectory:
         _write_csv(path, header, self.times, flat)
 
 
-@dataclass
 class ErrorSeries:
     """Squared pairwise errors (lexicographic pairs) and the max-spread error."""
 
-    times: np.ndarray
-    xi: np.ndarray
-    e_hat: np.ndarray
-    n_nodes: int
+    def __init__(self, times: np.ndarray, xi: np.ndarray, e_hat: np.ndarray, n_nodes: int):
+        self.times = times
+        self.xi = xi
+        self.e_hat = e_hat
+        self.n_nodes = n_nodes
 
     def to_csv(self, path) -> None:
         n = self.n_nodes
@@ -288,6 +285,8 @@ def integrate(system: NetworkSystem, t0: float, x0, t_end: float, cfg: SolverCon
             _rk4_segment(system, piece, a, b, cfg.dt, rec)
         else:
             _, h = _rk45_segment(system, piece, a, b, cfg, rec, h)
+    import hashlib  # only the digest below needs it; keeps it off the import path
+
     x0_digest = hashlib.sha1(np.ascontiguousarray(X0).tobytes()).hexdigest()[:12]
     provenance = {"t0": t0, "x0_digest": x0_digest, "config": cfg.digest()}
     return rec.build(provenance)

@@ -9,7 +9,6 @@ headers, verdict labels in JSON) use 1-based labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ class ScheduleDomainError(ValueError):
     """Sampling time outside the domain of a schedule with extension "none"."""
 
 
-@dataclass(frozen=True)
 class NodeField:
     """Internal dynamics of all n nodes as one vectorized field.
 
@@ -32,12 +30,11 @@ class NodeField:
     nodes enter through per-node parameter vectors of length n inside rhs.
     """
 
-    state_dim: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.state_dim < 1:
+    def __init__(self, state_dim: int, rhs: Callable[[float, np.ndarray], np.ndarray]):
+        if state_dim < 1:
             raise ValueError("state_dim must be a positive integer")
+        self.state_dim = state_dim
+        self.rhs = rhs
 
     @classmethod
     def from_nodes(cls, nodes: Sequence["NodeDynamics"]) -> "NodeField":
@@ -56,7 +53,6 @@ class NodeField:
         return cls(dims.pop(), rhs)
 
 
-@dataclass(frozen=True)
 class NodeDynamics:
     """Internal dynamics of one node, stacked by NodeField.from_nodes.
 
@@ -64,12 +60,11 @@ class NodeDynamics:
     must return a vector of length state_dim.
     """
 
-    state_dim: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.state_dim < 1:
+    def __init__(self, state_dim: int, rhs: Callable[[float, np.ndarray], np.ndarray]):
+        if state_dim < 1:
             raise ValueError("state_dim must be a positive integer")
+        self.state_dim = state_dim
+        self.rhs = rhs
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         out = np.asarray(self.rhs(t, x), dtype=float)
@@ -379,9 +374,8 @@ class PairBoundSet:
 
     def _check(self, name, v, t=None):
         """v, read-only, after checking it is finite, and nonnegative for beta."""
-        bad = ~np.isfinite(v) | ((v < 0) if name == "beta" else False)
-        if bad.any():
-            p = int(np.argmax(bad))
+        if not np.isfinite(v).all() or (name == "beta" and (v < 0).any()):
+            p = int(np.argmax(~np.isfinite(v) | ((v < 0) if name == "beta" else False)))
             (i, j), at = self._pairs[p], "" if t is None else f", {t}"
             what = "is not finite" if not np.isfinite(v[p]) else "is negative"
             raise ValueError(f"{name}({i}, {j}{at}) = {v[p]} {what}")
@@ -416,11 +410,8 @@ def pair_bounds_for_identical_nodes(n_nodes, l, rho, global_bounds=False):
     )
 
 
-@dataclass(frozen=True)
 class ClusterSpec:
     """Ordered subset of node indices (0-based) singled out for analysis."""
-
-    indices: tuple[int, ...]
 
     def __init__(self, indices: Sequence[int]):
         idx = tuple(int(i) for i in indices)
@@ -432,7 +423,7 @@ class ClusterSpec:
             raise ValueError("cluster indices must be strictly increasing")
         if idx[0] < 0:
             raise ValueError("cluster indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
+        self.indices = idx
 
     def validate_for(self, n_nodes: int) -> None:
         if self.indices[-1] >= n_nodes:
@@ -448,7 +439,6 @@ class ClusterSpec:
 # the coupled network
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NetworkSystem:
     """N agents with diffusive coupling through a time-varying adjacency.
 
@@ -457,10 +447,6 @@ class NetworkSystem:
     once, or a sequence of one NodeDynamics per node, which is stacked with
     NodeField.from_nodes.  The node count is the schedule's.
     """
-
-    field: NodeField
-    schedule: AdjacencySchedule
-    global_coupling: float = 1.0
 
     def __init__(self, field, schedule, global_coupling=1.0):
         if not isinstance(field, NodeField):
@@ -472,9 +458,9 @@ class NetworkSystem:
             field = NodeField.from_nodes(nodes)
         if global_coupling < 0:
             raise ValueError("global_coupling must be nonnegative")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "global_coupling", float(global_coupling))
+        self.field = field
+        self.schedule = schedule
+        self.global_coupling = float(global_coupling)
 
     @property
     def n_nodes(self) -> int:

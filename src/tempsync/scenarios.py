@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,18 +30,21 @@ from .model import (
 )
 
 
-@dataclass
 class RunReport:
-    scenario: str
-    seed: int
-    parameters: dict
-    metrics: dict
-    passed: bool
-    trajectory_csv: str | None = None
-    errors_csv: str | None = None
-    certificate_json: str | None = None
-    report_json: str | None = None
-    series: ErrorSeries | None = field(default=None, repr=False)
+    def __init__(self, scenario: str, seed: int, parameters: dict, metrics: dict,
+                 passed: bool, trajectory_csv: str | None = None,
+                 errors_csv: str | None = None, certificate_json: str | None = None,
+                 report_json: str | None = None, series: ErrorSeries | None = None):
+        self.scenario = scenario
+        self.seed = seed
+        self.parameters = parameters
+        self.metrics = metrics
+        self.passed = passed
+        self.trajectory_csv = trajectory_csv
+        self.errors_csv = errors_csv
+        self.certificate_json = certificate_json
+        self.report_json = report_json
+        self.series = series
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,6 +116,8 @@ def run_jobs(fn, kwargs_list, workers: int = 1):
     """Run independent scenario jobs, optionally across processes."""
     if workers <= 1:
         return [fn(**kw) for kw in kwargs_list]
+    from concurrent.futures import ProcessPoolExecutor  # costly to import; only pools need it
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         futures = [ex.submit(fn, **kw) for kw in kwargs_list]
         return [f.result() for f in futures]
@@ -470,12 +473,12 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
 # Lorenz nodes on a directed star
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StarFeasibility:
-    case: str            # "feasible-A" | "feasible-B" | "infeasible"
-    feasible: bool
-    hub_pair_value: float
-    satellite_ok: bool   # the satellite-pair condition a > 0
+    def __init__(self, case: str, feasible: bool, hub_pair_value: float, satellite_ok: bool):
+        self.case = case                      # "feasible-A" | "feasible-B" | "infeasible"
+        self.feasible = feasible
+        self.hub_pair_value = hub_pair_value
+        self.satellite_ok = satellite_ok      # the satellite-pair condition a > 0
 
     def to_json_dict(self) -> dict:
         return {

@@ -343,6 +343,22 @@ def test_comparison_checks_reject_nonfinite_e():
         ts.comparison_solve(cs, 0.0, np.array([1.0, 1.0]), 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_constant_segment_overflowing_diagonal_is_named():
+    # a constant piece checks its off-diagonal part once per build and then
+    # only each sample's diagonal 2 (alpha(t) - S); alpha = 1e308 on pair
+    # (0, 2) from t = 0.5 overflows that diagonal entry to inf
+    system = _decay_system(ts.static_schedule(np.ones((3, 3))))
+    bounds = ts.PairBoundSet(3, 1.0, lambda i, j, t: 1e308 if (i, j) == (0, 2) and t >= 0.5
+                             else -1.0, lambda i, j, t: 0.0)
+    cs = ComparisonSystem.from_network(system, bounds)
+    msg = r"comparison matrix E\(t\) at t=0.5: entry \(2, 2\) = inf is not finite"
+    with pytest.raises(ValueError, match=msg):
+        ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 1.0, ts.SolverConfig(dt=0.25))
+    with pytest.raises(ValueError, match=msg):
+        ts.dominance_decay_check(cs, np.linspace(0.0, 1.0, 11))
+
+
 def test_decay_check_rejects_non_metzler_e():
     E = np.array([[-2.0, 0.3], [-0.1, -2.0]])  # negative off-diagonal entry
     cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tempsync
 from tempsync import cli
 from tempsync.cli import dispatch
 
@@ -314,3 +317,20 @@ def test_explicit_network_from_schedule_json(tmp_path):
     )
     out = tmp_path / "out"
     assert dispatch(["certify", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_import_generates_no_dataclasses_and_loads_no_process_pool():
+    # every CLI call pays for importing tempsync: record classes are plain
+    # classes, and the process pool is imported only when workers > 1
+    probe = (
+        "import sys, tempsync, tempsync.cli\n"
+        "print([m for m in ('dataclasses', 'concurrent.futures') if m in sys.modules])\n"
+        "print([f'{m.__name__}.{k}' for m in list(sys.modules.values())\n"
+        "       if getattr(m, '__name__', '').split('.')[0] == 'tempsync'\n"
+        "       for k, c in vars(m).items() if hasattr(c, '__dataclass_fields__')])\n"
+    )
+    src = os.path.dirname(os.path.dirname(tempsync.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
