@@ -49,7 +49,6 @@ from .integrate import (
     coupled_rhs,
     integrate,
     pairwise_errors,
-    rk4_span,
 )
 from .model import (
     AdjacencySchedule,

@@ -1,9 +1,9 @@
 """Hot numeric kernels, in numpy.
 
 The pair kernels (coupling term, pairwise-error reductions, the pair sums
-S and D behind delta and gamma, comparison matrix assembly) and the RK4
+S and D behind delta and gamma, comparison matrix assembly), the RK4
 propagators of the linear comparison system, whose work is BLAS matrix
-products.
+products, and the cumulative trapezoid rule on a sampled grid.
 """
 
 from __future__ import annotations
@@ -269,3 +269,10 @@ def rk4_sampled_principal(E_at, ts, V, starts):
         E0 = E1
     norms[-1] = np.abs(V).max(axis=0)
     return norms, V
+
+
+def cumtrapz(values, times):
+    """Trapezoid integrals of values from times[0] to each of times."""
+    return np.concatenate(
+        [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))]
+    )

@@ -12,14 +12,14 @@ those trajectories.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import SolverConfig, rk4_span
-from .model import NetworkSystem
+from . import _kernels as kern
+from .integrate import IntegrationError, SolverConfig, _write_json, integrate
+from .model import NetworkSystem, NodeField, static_schedule
 
 
 class HypothesisError(ValueError):
@@ -85,10 +85,12 @@ class DissipativityData:
         """Check exp(int_s^t l) <= K exp(-gamma (t - s)) for grid pairs s <= t."""
         grid = np.asarray(grid, dtype=float)
         lv = np.array([self.l(t) for t in grid])
-        I = np.concatenate([[0.0], np.cumsum(0.5 * (lv[1:] + lv[:-1]) * np.diff(grid))])
-        g = I + self.gamma * grid
-        run_min = np.minimum.accumulate(g)
-        return bool(np.max(g - run_min) <= math.log(self.K) + 1e-12)
+        return _envelope_holds(kern.cumtrapz(lv, grid) + self.gamma * grid, self.K)
+
+
+def _envelope_holds(g, K: float) -> bool:
+    """g(t) - g(s) <= log K for grid pairs s <= t, with g = int l + gamma t."""
+    return bool(np.max(g - np.minimum.accumulate(g)) <= math.log(K) + 1e-12)
 
 
 def fit_sl2_envelope(l, grid, inflate: float = 1.01):
@@ -101,17 +103,14 @@ def fit_sl2_envelope(l, grid, inflate: float = 1.01):
     grid = np.asarray(grid, dtype=float)
     lf = _as_time_fn(l)
     lv = np.array([lf(t) for t in grid])
-    I = np.concatenate([[0.0], np.cumsum(0.5 * (lv[1:] + lv[:-1]) * np.diff(grid))])
+    I = kern.cumtrapz(lv, grid)
     dt = grid - grid[0]
     slope, intercept = np.polyfit(dt, I, 1)
     gamma = -slope
     K = max(1.0, math.exp(intercept)) * inflate
     if gamma <= 0:
         return K, gamma, False
-    g = I + gamma * dt
-    run_min = np.minimum.accumulate(g)
-    certified = bool(np.max(g - run_min) <= math.log(K) + 1e-12)
-    return K, gamma, certified
+    return K, gamma, _envelope_holds(I + gamma * dt, K)
 
 
 class PullbackEstimate:
@@ -122,19 +121,27 @@ class PullbackEstimate:
         self.converged = converged
 
 
-def pullback_trajectory(rhs, t: float, s_max: float, x0, cfg: SolverConfig | None = None,
+def pullback_trajectory(rhs, t: float, s_max: float, x0, *,
                         tol: float = 1e-8) -> PullbackEstimate:
     """Estimate the value at time t of the bounded entire attracting solution.
 
     Integrates x' = rhs from t - s to t starting at x0 for doubling depths
     s = 1, 2, 4, ..., capped at s_max, until two successive estimates differ
-    by less than tol.  Non-convergence is reported through the returned gap,
-    not raised.
+    by less than tol.  Each depth is one adaptive RKF45 run of ``integrate``
+    at rtol = atol = tol/10.  Non-convergence is reported through the
+    returned gap, not raised: a depth whose integration fails (the solution
+    overflows, say) ends the search with gap inf and the last estimate that
+    was computed (x0 if none was).
     """
     if s_max <= 0:
         raise ValueError("s_max must be positive")
-    cfg = cfg or SolverConfig()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+
+    def field(tau, X):
+        return np.asarray(rhs(tau, X[0]), dtype=float).reshape(X.shape)
+
+    system = NetworkSystem(NodeField(x0.size, field), static_schedule(np.zeros((1, 1))))
+    cfg = SolverConfig(method="rk45", rtol=tol / 10.0, atol=tol / 10.0)
     depths = []
     s = 1.0
     while s < s_max:
@@ -144,7 +151,12 @@ def pullback_trajectory(rhs, t: float, s_max: float, x0, cfg: SolverConfig | Non
     prev = None
     gap = math.inf
     for s in depths:
-        est = rk4_span(rhs, t - s, x0, t, cfg.dt)
+        try:
+            # overflow is reported by integrate's finiteness checks
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = integrate(system, t - s, x0, t, cfg).final_state()[0]
+        except IntegrationError:
+            return PullbackEstimate(x0.copy() if prev is None else prev, math.inf, s, False)
         if prev is not None:
             gap = float(np.max(np.abs(est - prev)))
             if gap < tol:
@@ -185,9 +197,7 @@ class CoupledComparisonCheck:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
 
 
 def coupled_comparison_check(system: NetworkSystem, L: Sequence, grid) -> CoupledComparisonCheck:

@@ -15,14 +15,13 @@ therefore carry a "grid-verified" assumption rather than a proof claim.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import SolverConfig, integrate
+from .integrate import SolverConfig, _write_json, integrate
 from .model import ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _finite
 
 
@@ -104,9 +103,7 @@ def _sliding_unit_window_sup(times, values) -> float:
     """sup over tau of the trapezoid integral of values over [tau, tau+1]."""
     if times[-1] - times[0] < 1.0 - 1e-9:
         raise ValueError("grid must span at least one unit time window")
-    F = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))]
-    )
+    F = kern.cumtrapz(values, times)
     upper = times + 1.0
     ok = upper <= times[-1] + 1e-12
     Fu = np.interp(np.minimum(upper[ok], times[-1]), times, F)
@@ -509,9 +506,7 @@ class SyncCertificate:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
 
 
 class ClusterCertificate(SyncCertificate):

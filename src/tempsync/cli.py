@@ -4,7 +4,7 @@ Exit status contract: 0 on success with all declared files written; 2 when
 the run itself succeeded but the analysis verdict is negative (certificate
 fails, scenario predicate false, infeasible topology, pullback did not
 converge), with machine-readable detail in report.json; 1 on usage, schema
-and I/O errors.
+and I/O errors, and when an integration fails (a diverging simulation).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .certificates import (
     check_full_sync,
     static_threshold,
 )
-from .integrate import SolverConfig, integrate, pairwise_errors
+from .integrate import IntegrationError, SolverConfig, _write_json, integrate, pairwise_errors
 from .model import (
     AdjacencySchedule,
     ClusterSpec,
@@ -64,12 +64,6 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +307,11 @@ def _cmd_pullback_check(cfg, args, out):
 
     times = [float(t) for t in _require(cfg, "times", list)]
     s_max = float(cfg.get("s_max", 64.0))
-    cfg_solver = SolverConfig(dt=float(cfg.get("dt", 1e-3)))
     tol = float(cfg.get("tol", 1e-8))
     results = []
     all_ok = True
     for t in times:
-        est = pullback_trajectory(rhs, t, s_max, np.zeros(dim), cfg_solver, tol=tol)
+        est = pullback_trajectory(rhs, t, s_max, np.zeros(dim), tol=tol)
         results.append(
             {
                 "t": t,
@@ -377,10 +370,7 @@ def dispatch(argv=None) -> int:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, args.out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CliError, IntegrationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,11 +4,12 @@ The integration grid is split exactly at every schedule breakpoint so no
 step straddles a discontinuity of A(t); solutions are absolutely continuous
 across switches, so restarting the one-step method at each breakpoint
 preserves its order.  Fixed-step RK4 is the default; an embedded
-Runge-Kutta-Fehlberg 4(5) pair provides adaptive stepping for stiff runs.
+Runge-Kutta-Fehlberg 4(5) pair provides an adaptive step size.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -93,6 +94,13 @@ class ErrorSeries:
         header = ["t"] + [f"xi_{i + 1}_{j + 1}" for i, j in zip(iu, ju)] + ["e_hat"]
         body = np.column_stack([self.xi, self.e_hat])
         _write_csv(path, header, self.times, body)
+
+
+def _write_json(path, doc) -> None:
+    """The one format of every JSON output file: sorted keys, indent 2, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_csv(path, header, times, body) -> None:
@@ -304,21 +312,3 @@ def pairwise_errors(traj: Trajectory) -> ErrorSeries:
     xi = kern.xi_series(traj.states)
     eh = kern.e_hat_series(traj.states)
     return ErrorSeries(traj.times.copy(), xi, eh, traj.n_nodes)
-
-
-def rk4_span(rhs, t0: float, x0, t1: float, dt: float) -> np.ndarray:
-    """Plain fixed-step RK4 for a single ODE x' = rhs(t, x); returns x(t1)."""
-    x = np.asarray(x0, dtype=float).copy()
-    if t1 == t0:
-        return x
-    n_steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    h = (t1 - t0) / n_steps
-
-    def f(t, x):
-        return np.asarray(rhs(t, x), dtype=float)
-
-    t = t0
-    for _ in range(n_steps):
-        x = _rk4_step(f, t, x, h)
-        t += h
-    return x

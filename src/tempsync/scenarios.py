@@ -11,7 +11,6 @@ not curve matching.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .certificates import check_full_sync
-from .integrate import ErrorSeries, SolverConfig, integrate, pairwise_errors
+from .integrate import ErrorSeries, SolverConfig, _write_json, integrate, pairwise_errors
 from .model import (
     AdjacencySchedule,
     NetworkSystem,
@@ -76,9 +75,7 @@ def _emit(report: RunReport, out_dir, traj, err, certificate=None) -> RunReport:
         certificate.write_json(cpath)
         report.certificate_json = os.path.basename(cpath)
     rpath = os.path.join(out_dir, "report.json")
-    with open(rpath, "w") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(rpath, report.to_json_dict())
     report.report_json = os.path.basename(rpath)
     return report
 
@@ -489,9 +486,7 @@ class StarFeasibility:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
 
 
 def star_feasibility(a, b, n_nodes) -> StarFeasibility:

@@ -101,8 +101,11 @@ def test_pullback_agrees_with_forward_limit():
         return -x + np.array([math.cos(2 * t)])
 
     est = ts.pullback_trajectory(rhs, 30.0, 64.0, np.array([4.0]))
-    fwd = ts.rk4_span(rhs, -10.0, np.array([-3.0]), 30.0, 1e-3)
-    assert abs(est.state[0] - fwd[0]) < 1e-6
+    system = ts.NetworkSystem(
+        ts.NodeField(1, lambda t, X: rhs(t, X[0])[None]), ts.static_schedule(np.zeros((1, 1)))
+    )
+    fwd = ts.integrate(system, -10.0, np.array([[-3.0]]), 30.0, ts.SolverConfig(dt=1e-3))
+    assert abs(est.state[0] - fwd.final_state()[0, 0]) < 1e-6
 
 
 def test_ultimate_bound_values():

@@ -156,6 +156,18 @@ def test_parser_is_built_once_and_keeps_no_option_values(tmp_path, monkeypatch):
                            t_end=None, dt=None, c=None, epsilon=None, bound_M=None, workers=1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_simulate_divergence_is_error_exit(tmp_path, capsys):
+    cfg = _write(
+        tmp_path / "sim.json",
+        {"network": {"kind": "complete", "n": 3,
+                     "nodes": {"type": "linear_decay", "rate": -800.0}},
+         "t_end": 2.0, "dt": 0.01},
+    )
+    assert dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "non-finite field value" in capsys.readouterr().err
+
+
 def test_missing_config_names_path(tmp_path, capsys):
     code = dispatch(["certify", "--config", str(tmp_path / "nope.json")])
     assert code == 1
@@ -285,6 +297,41 @@ def test_pullback_check_nonconvergent_exits_two(tmp_path):
     )
     out = tmp_path / "out"
     assert dispatch(["pullback-check", "--config", cfg, "--out", str(out)]) == 2
+
+
+def test_pullback_check_divergent_exits_two(tmp_path):
+    # the growing solution overflows before depth s_max: not converged, no warning
+    cfg = _write(
+        tmp_path / "pb.json",
+        {"linear": {"a": 1.0, "sin": 1.0}, "times": [0.0], "s_max": 1024.0},
+    )
+    out = tmp_path / "out"
+    assert dispatch(["pullback-check", "--config", cfg, "--out", str(out)]) == 2
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["converged"] is False
+    assert doc["results"][0]["gap"] == math.inf
+
+
+@pytest.mark.parametrize("a,b_sin,b_const", [(-4.0, 1.0, 0.0), (-3.5, 0.0, -1.0),
+                                             (-3.75, -0.6, 0.8)])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_pullback_check_matches_closed_form(tmp_path, a, b_sin, b_const, dim):
+    # x' = a x + b_sin sin t + b_const has the bounded solution
+    # A sin t + B cos t - b_const / a with A = a B, B = -b_sin / (1 + a^2)
+    times = [0.0, 2.5, 7.0, 9.5]
+    cfg = _write(
+        tmp_path / "pb.json",
+        {"linear": {"a": a, "sin": b_sin, "const": b_const}, "dim": dim,
+         "times": times, "s_max": 64.0, "tol": 1e-6},
+    )
+    out = tmp_path / "out"
+    assert dispatch(["pullback-check", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    B = -b_sin / (1.0 + a * a)
+    for r, t in zip(doc["results"], times):
+        exact = a * B * math.sin(t) + B * math.cos(t) - b_const / a
+        assert len(r["state"]) == dim
+        assert max(abs(v - exact) for v in r["state"]) < 1e-6
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):
