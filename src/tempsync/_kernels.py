@@ -62,7 +62,11 @@ def _f64(a):
 
 def laplacian(A):
     """Graph Laplacian A - diag(A 1) of an (n, n) adjacency matrix."""
-    L = np.array(A, dtype=np.float64, order="C")
+    return _laplacian_in_place(np.array(A, dtype=np.float64, order="C"))
+
+
+def _laplacian_in_place(L):
+    """L = A - diag(A 1), written over A itself, a C-ordered float64 (n, n) array."""
     L.reshape(-1)[:: L.shape[0] + 1] -= L.sum(axis=1)  # the diagonal, as a view
     return L
 
@@ -162,9 +166,11 @@ def assemble_comparison(A, delta):
 #   R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,   Phi(z) = 1 + z/2 + z^2/6 + z^3/24,
 #
 # R being RK4's stability function (Hairer, Norsett & Wanner, Solving ODEs I).
-# The "sampled" variants take E (and b) from a callable at the stage times
-# t_s, t_s + h/2 and t_{s+1} of the step boundaries ts; the end sample of a
-# step is the start sample of the next, so each distinct time is sampled once.
+# The "sampled" variants draw E (and b) per stage from iterables, in the order
+# of the stage times  ts[0], ts[0] + h_0/2, ts[1], ..., ts[-1]  (stage_times);
+# the end sample of a step is the start sample of the next, so each distinct
+# time is drawn once.  A drawn E is used before the next one is drawn, so a
+# provider may rewrite one buffer in place, e.g. only its diagonal.
 # ---------------------------------------------------------------------------
 
 def rk4_map(E, h):
@@ -188,23 +194,33 @@ def rk4_const_linear(E, b, u0, h, n_steps):
     return out
 
 
-def rk4_sampled_linear(E_at, b_at, ts, u0):
-    """(len(ts), d) RK4 states of u' = E(t) u + b(t) over the step boundaries ts."""
+def stage_times(ts):
+    """The 2 len(ts) - 1 RK4 stage times ts[0], ts[0] + h_0/2, ts[1], ... of steps ts."""
+    ts = _f64(ts)
+    out = np.empty(2 * ts.shape[0] - 1)
+    out[0::2], out[1::2] = ts, ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
+    return out
+
+
+def rk4_sampled_linear(E_rows, b_rows, ts, u0):
+    """(len(ts), d) RK4 states of u' = E(t) u + b(t) over the step boundaries ts.
+
+    E_rows and b_rows yield E and b at each of stage_times(ts) in order.
+    """
     ts, u = _f64(ts), _f64(u0)
+    E_rows, b_rows = iter(E_rows), iter(b_rows)
     out = np.empty((ts.shape[0], u.shape[0]))
     out[0] = u
-    E0, b0 = _f64(E_at(ts[0])), _f64(b_at(ts[0]))
+    E1, b1 = _f64(next(E_rows)), _f64(next(b_rows))
     for s in range(ts.shape[0] - 1):
         h = ts[s + 1] - ts[s]
-        tm = ts[s] + 0.5 * h
-        Em, bm = _f64(E_at(tm)), _f64(b_at(tm))
-        E1, b1 = _f64(E_at(ts[s + 1])), _f64(b_at(ts[s + 1]))
-        k1 = E0 @ u + b0
+        k1 = E1 @ u + b1
+        Em, bm = _f64(next(E_rows)), _f64(next(b_rows))
         k2 = Em @ (u + 0.5 * h * k1) + bm
         k3 = Em @ (u + 0.5 * h * k2) + bm
+        E1, b1 = _f64(next(E_rows)), _f64(next(b_rows))
         k4 = E1 @ (u + h * k3) + b1
         out[s + 1] = u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        E0, b0 = E1, b1
     return out
 
 
@@ -243,30 +259,30 @@ def rk4_const_principal(E, hs, V, starts):
     return norms, V
 
 
-def rk4_sampled_principal(E_at, ts, V, starts):
+def rk4_sampled_principal(E_rows, ts, V, starts):
     """Propagate the (P, K) block V over the step boundaries ts of u' = E(t) u.
 
-    E comes from the callable E_at, sampled once per distinct stage time;
-    ``starts`` and the return value are as for :func:`rk4_const_principal`.
+    E_rows yields E at each of stage_times(ts) in order; ``starts`` and the
+    return value are as for :func:`rk4_const_principal`.
     """
     ts, V = _f64(ts), _f64(V).copy()
+    E_rows = iter(E_rows)
     n_steps = ts.shape[0] - 1
     inject = _injections(starts, n_steps)
     norms = np.empty((n_steps + 1, V.shape[1]))
-    E0 = _f64(E_at(ts[0]))
+    E1 = _f64(next(E_rows))
     for s in range(n_steps):
         if s in inject:
             V[:, inject[s]] = 1.0
         norms[s] = np.abs(V).max(axis=0)
         h = ts[s + 1] - ts[s]
-        Em = _f64(E_at(ts[s] + 0.5 * h))
-        E1 = _f64(E_at(ts[s + 1]))
-        K1 = E0 @ V
+        K1 = E1 @ V
+        Em = _f64(next(E_rows))
         K2 = Em @ (V + 0.5 * h * K1)
         K3 = Em @ (V + 0.5 * h * K2)
+        E1 = _f64(next(E_rows))
         K4 = E1 @ (V + h * K3)
         V = V + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        E0 = E1
     norms[-1] = np.abs(V).max(axis=0)
     return norms, V
 

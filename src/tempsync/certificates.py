@@ -61,7 +61,13 @@ def _comparison(A, alpha):
     return kern.assemble_comparison(A, delta), delta, gamma
 
 
-_STACK_SIZE = 2 ** 15  # largest (T, P, n) buffer of one pair_sums call on a functional piece
+_STACK_SIZE = 2 ** 15  # entries of the largest (T, P, n) pair_sums buffer or (T, P) bound block
+
+
+def _chunks(times, width):
+    """times in consecutive runs of at most _STACK_SIZE // width (at least 1)."""
+    step = max(1, _STACK_SIZE // max(1, width))
+    return (times[k:k + step] for k in range(0, len(times), step))
 
 
 def _grid_delta_gamma(system, bounds, times, nodes):
@@ -70,7 +76,7 @@ def _grid_delta_gamma(system, bounds, times, nodes):
     delta keeps the full coupling sum over all N nodes; gamma restricts the
     cross-difference sum to ``nodes`` (the cluster margin).  A constant
     piece takes one pair_sums call per segment, a functional piece one per
-    chunk of its grid times; time-constant bounds are read once.
+    chunk of its grid times; alpha is read as one block on these pairs only.
     """
     c = system.global_coupling
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -90,8 +96,7 @@ def _grid_delta_gamma(system, bounds, times, nodes):
         for ch in (idx[k:k + width] for k in range(0, idx.size, width)):
             A = piece.matrix[None] if const else np.stack([piece(t) for t in times[ch]])
             S[ch], D[ch] = kern.pair_sums(c * A, iu, ju, nodes)
-    at = times[:1] if bounds.time_constant else times
-    delta = np.array([bounds.alpha(t)[sel] for t in at]) - S
+    delta = bounds.alpha(times, sel) - S
     return delta, 2.0 * np.abs(delta) - D, (iu, ju)
 
 
@@ -115,8 +120,9 @@ def compute_mu1(bounds: PairBoundSet, window_grid, pairs=None) -> float:
 
     mu1 = sup_tau int_tau^{tau+1} |(2 beta_ij(s))_pairs| ds with the
     Euclidean norm over the listed (i, j) pairs, in either order (all pairs
-    by default); an invalid pair raises ValueError naming it.  Constant
-    bounds short-circuit to the exact value |2 beta|.
+    by default); an invalid pair raises ValueError naming it, and beta is
+    read on the listed pairs only.  Constant bounds short-circuit to the
+    exact value |2 beta|.
     """
     n = bounds.n_nodes
     iu, ju, pidx = kern.pair_arrays(n)
@@ -130,14 +136,13 @@ def compute_mu1(bounds: PairBoundSet, window_grid, pairs=None) -> float:
     if times.ndim != 1 or times.size < 2:
         raise ValueError("window_grid must contain at least two times")
 
-    def norm_at(t):
-        v = 2.0 * bounds.beta(t)[sel]
+    def norm(v):
         return float(np.sqrt(np.dot(v, v)))
 
     if bounds.time_constant:
-        return norm_at(times[0])
-    g = np.array([norm_at(t) for t in times])
-    return _sliding_unit_window_sup(times, g)
+        return norm(2.0 * bounds.beta(times[0], sel))
+    g = [norm(v) for ch in _chunks(times, len(sel)) for v in 2.0 * bounds.beta(ch, sel)]
+    return _sliding_unit_window_sup(times, np.array(g))
 
 
 def compute_mu2(system: NetworkSystem, cluster: ClusterSpec, rho: float, window_grid) -> float:
@@ -214,42 +219,50 @@ class ComparisonSystem:
         return np.asarray(self._beta(t), dtype=float).reshape(self.dim)
 
     def _segments(self, t0, t1):
-        """(a, b, E_fn, beta_fn, is_const) covering [t0, t1], split at breaks.
+        """(a, b, E_rows, b_rows, is_const) covering [t0, t1], split at breaks.
 
-        E_fn(t) returns E(t) already checked by _metzler.
+        E_rows(times) and b_rows(times) yield E(t), checked by _metzler, and
+        beta(t) at each of the times in order; a yielded E may be one buffer
+        rewritten for the next time.
         """
         out = []
         if self._system is not None:
             c = self._system.global_coupling
             bounds = self._bounds
-            last = {}  # (E, -S) of the one constant segment sampled last, so memory stays O(P^2)
-            for k, (a, b, piece) in enumerate(self._system.schedule.segments_between(t0, t1)):
+
+            def b_rows(times):
+                for ch in _chunks(times, self.dim):
+                    yield from 2.0 * bounds.beta(ch)
+
+            for a, b, piece in self._system.schedule.segments_between(t0, t1):
                 const = isinstance(piece, _ConstPiece)
                 if const:
-                    def E_fn(t, k=k, piece=piece):
-                        built = k not in last
-                        if built:  # only the diagonal 2 (alpha(t) - S) moves with t
-                            last.clear()
-                            last[k] = _comparison(c * piece.matrix, np.zeros(self.dim))[:2]
-                        E = last[k][0].copy()
-                        d = 2.0 * (bounds.alpha(t) + last[k][1])
-                        np.fill_diagonal(E, d)
-                        # the fixed off-diagonal part is checked once per build
-                        return E if not built and np.isfinite(d).all() else _metzler(E, t)
+                    def E_rows(times, A=piece.matrix):
+                        # built once per call; only the diagonal 2 (alpha(t) - S) moves with t
+                        E, negS = _comparison(c * A, np.zeros(self.dim))[:2]
+                        _metzler(E, times[0])  # the fixed off-diagonal part, checked once
+                        diag = E.reshape(-1)[:: self.dim + 1]  # a view
+                        for ch in _chunks(times, self.dim):
+                            D = 2.0 * (bounds.alpha(ch) + negS)
+                            for t, d, finite in zip(ch, D, np.isfinite(D).all(axis=1)):
+                                diag[:] = d
+                                yield E if finite else _metzler(E, t)  # raises
                 else:
-                    def E_fn(t, piece=piece):
-                        return _metzler(
-                            _comparison(c * np.asarray(piece(t), float), bounds.alpha(t))[0], t
-                        )
+                    def E_rows(times, piece=piece):
+                        for ch in _chunks(times, self.dim):
+                            for t, alpha in zip(ch, bounds.alpha(ch)):
+                                A = c * np.asarray(piece(t), float)
+                                yield _metzler(_comparison(A, alpha)[0], t)
 
-                out.append((a, b, E_fn, self.beta, const and bounds.time_constant))
+                out.append((a, b, E_rows, b_rows, const and bounds.time_constant))
             return out
         cuts = [t0, t1]
         if self._breakpoints is not None:
             cuts += [float(b) for b in self._breakpoints if t0 < b < t1]
         cuts = sorted(set(cuts))
         for a, b in zip(cuts[:-1], cuts[1:]):
-            out.append((a, b, lambda t: _metzler(self.E(t), t), self.beta, self.piecewise_constant))
+            out.append((a, b, lambda times: (_metzler(self.E(t), t) for t in times),
+                        lambda times: map(self.beta, times), self.piecewise_constant))
         return out
 
 
@@ -263,11 +276,13 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
                      cfg: SolverConfig | None = None) -> ComparisonTrajectory:
     """Integrate the comparison system from a nonnegative initial vector.
 
-    Fixed-step RK4 split at breakpoints.  Every E used must be Metzler
-    (nonnegative off the diagonal), so that the exact solution stays in the
-    positive cone; a sampled E with a negative off-diagonal entry raises
-    ValueError naming the time and entry.  The output is clipped at zero,
-    which then only removes rounding below zero.
+    Fixed-step RK4 split at breakpoints.  On a segment with time-varying
+    coefficients, E and beta are sampled at the RK4 stage times, and pair
+    bounds are read once per segment as (T, P) blocks.  Every E used must be
+    Metzler (nonnegative off the diagonal), so that the exact solution stays
+    in the positive cone; a sampled E with a negative off-diagonal entry
+    raises ValueError naming the time and entry.  The output is clipped at
+    zero, which then only removes rounding below zero.
     """
     cfg = cfg or SolverConfig()
     u0 = np.asarray(xi0, dtype=float).reshape(cs.dim)
@@ -279,15 +294,16 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
     rows = [u0]
     u = u0
     count = 0
-    for a, b, E_fn, b_fn, is_const in cs._segments(t0, t_end):
+    for a, b, E_rows, b_rows, is_const in cs._segments(t0, t_end):
         n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
         h = (b - a) / n_steps
         if is_const:
-            out = kern.rk4_const_linear(E_fn(a), b_fn(a), u, h, n_steps)
+            out = kern.rk4_const_linear(next(E_rows([a])), next(b_rows([a])), u, h, n_steps)
         else:
             ts = a + h * np.arange(n_steps + 1)
             ts[-1] = b
-            out = kern.rk4_sampled_linear(E_fn, b_fn, ts, u)
+            stages = kern.stage_times(ts)
+            out = kern.rk4_sampled_linear(E_rows(stages), b_rows(stages), ts, u)
         u = out[-1]
         for s in range(1, n_steps + 1):
             count += 1
@@ -327,8 +343,15 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     The bound is tight to first order for the dominant row, so propagation
     subdivides each grid interval (``substeps``) to keep the integration
     error well below tol.  Row dominance is sufficient, not necessary: a
-    stable system can still return verified=False.
+    stable system can still return verified=False.  max_anchors and
+    substeps must be integers >= 1 and tol finite and >= 0, or ValueError
+    names the parameter.
     """
+    for name, v in (("max_anchors", max_anchors), ("substeps", substeps)):
+        if not isinstance(v, (int, np.integer)) or v < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must contain at least two times")
@@ -337,13 +360,12 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     seg_of = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(segs) - 1)
 
     gamma_bar = np.inf
-    for s, (a, b, E_fn, _, is_const) in enumerate(segs):
+    for s, (a, b, E_rows, _, is_const) in enumerate(segs):
         idx = np.nonzero(seg_of == s)[0]
         if idx.size == 0:
             continue
-        sample_at = [grid[idx[0]]] if is_const else grid[idx]
-        for t in sample_at:
-            margins = -E_fn(t).sum(axis=1)
+        for E in E_rows(grid[idx[:1]] if is_const else grid[idx]):
+            margins = -E.sum(axis=1)
             gamma_bar = min(gamma_bar, float(margins.min()))
     if gamma_bar <= 0:
         return DecayCheck(gamma_bar, False, np.inf, [])
@@ -389,7 +411,6 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
     rounding of the times themselves (4 ulp of the largest |t|) are stepped
     as one length, so a uniform grid needs one RK4 map per segment.
     """
-    sub = max(1, int(substeps))
     cuts = [a for a, *_ in segs if grid[0] < a < grid[-1]]
     timeline = np.union1d(grid, cuts)
     seg_idx = np.clip(
@@ -405,22 +426,22 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
         end = pos
         while end < len(timeline) - 1 and seg_idx[end] == s:
             end += 1
-        _, _, E_fn, _, is_const = segs[s]
+        _, _, E_rows, _, is_const = segs[s]
         tseg = timeline[pos:end + 1]
         lengths = np.diff(tseg)
-        first = (anchor_tl - pos) * sub  # the step before which each column starts
+        first = (anchor_tl - pos) * substeps  # the step before which each column starts
         if is_const:
             for q in range(1, lengths.size):
                 close = np.abs(lengths[:q] - lengths[q]) <= same
                 if close.any():
                     lengths[q] = lengths[np.argmax(close)]
-            E = E_fn(tseg[0])
-            run, V = kern.rk4_const_principal(E, np.repeat(lengths / sub, sub), V, first)
+            E = next(E_rows(tseg[:1]))
+            run, V = kern.rk4_const_principal(E, np.repeat(lengths / substeps, substeps), V, first)
         else:
-            ts = (tseg[:-1, None] + (lengths / sub)[:, None] * np.arange(sub)).ravel()
+            ts = (tseg[:-1, None] + (lengths / substeps)[:, None] * np.arange(substeps)).ravel()
             ts = np.append(ts, tseg[-1])
-            run, V = kern.rk4_sampled_principal(E_fn, ts, V, first)
-        norms_tl[pos:end + 1] = run[::sub]
+            run, V = kern.rk4_sampled_principal(E_rows(kern.stage_times(ts)), ts, V, first)
+        norms_tl[pos:end + 1] = run[::substeps]
         pos = end
     return norms_tl[np.searchsorted(timeline, grid)]
 
@@ -671,8 +692,8 @@ def check_cluster_sync(system: NetworkSystem, bounds: PairBoundSet,
     cross-difference sums to J.  The heterogeneity level combines mu1 over
     J-pairs with the external mismatch term mu2 (N - n) sqrt(2 n (n - 1)).
     With J equal to the full node set the certificate coincides exactly with
-    the full-network one.  The bounds are read as whole pair vectors, so a
-    non-finite or negative bound on a pair outside J raises too.
+    the full-network one.  The bounds are read on the pairs within J only,
+    so a non-finite or negative bound on a pair outside J does not raise.
     """
     cluster.validate_for(system.n_nodes)
     return _certify(

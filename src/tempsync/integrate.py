@@ -157,7 +157,7 @@ def _stages(system: NetworkSystem, piece):
             _node_fault(t, F)
         Lt = cache.pop(t, None)
         if Lt is None:
-            Lt = kern.laplacian(piece(t))
+            Lt = kern._laplacian_in_place(piece(t))  # each sample is a fresh C array
             if len(cache) == 6:
                 del cache[next(iter(cache))]
         cache[t] = Lt

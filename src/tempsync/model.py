@@ -199,9 +199,9 @@ class AdjacencySchedule:
         return self.pieces[idx], tau
 
     def sample(self, t: float) -> np.ndarray:
-        """A(t) with zero diagonal; deterministic for fixed (schedule, t)."""
+        """A(t) with zero diagonal as a fresh C array; deterministic for fixed (schedule, t)."""
         piece, tau = self._piece_at(t)
-        return np.array(piece(tau), dtype=float)
+        return np.array(piece(tau), dtype=float, order="C")
 
     @property
     def is_piecewise_constant(self) -> bool:
@@ -332,17 +332,27 @@ class PairBoundSet:
     For states x, y in the ball, <x - y, f_i(t, x) - f_j(t, y)> <=
     alpha_ij(t) |x - y|^2 + beta_ij(t) with beta >= 0.  alpha(t), beta(t)
     return one (P,) vector over the pairs i < j in _kernels.pair_arrays
-    order; a non-finite value or a negative beta raises naming pair and t.
-    The constructor stacks per-pair callables alpha(i, j, t), beta(i, j, t)
+    order at a scalar t, and one (T, P) block, row k at times[k], at a 1-d
+    array of T times; ``subset`` (pair indices) keeps only those columns
+    and evaluates only those pairs.  A non-finite value or a negative beta
+    raises naming the pair and the first bad time in order.  The
+    constructor stacks per-pair callables alpha(i, j, t), beta(i, j, t)
     (called with i < j); constant() and pair_bounds_for_identical_nodes
-    store vectors or t -> (P,) functions, and time_constant says both are
+    store vectors or block functions, and time_constant says both are
     vectors.  global_bounds marks radius-independent bounds.
     """
 
     def __init__(self, n_nodes, rho, alpha, beta, global_bounds=False):
         pairs = self._setup(n_nodes, rho, global_bounds, False)._pairs
-        self._alpha = lambda t: np.array([float(alpha(i, j, t)) for i, j in pairs])
-        self._beta = lambda t: np.array([float(beta(i, j, t)) for i, j in pairs])
+
+        def stacked(f):
+            def block(times, cols):
+                sub = pairs if isinstance(cols, slice) else [pairs[p] for p in cols.tolist()]
+                rows = [[float(f(i, j, t)) for i, j in sub] for t in times]
+                return np.array(rows).reshape(len(times), len(sub))
+            return block
+
+        self._alpha, self._beta = stacked(alpha), stacked(beta)
 
     def _setup(self, n_nodes, rho, global_bounds, time_constant):
         """Checks and fields shared by __init__ and _stored; returns self."""
@@ -357,28 +367,45 @@ class PairBoundSet:
 
     @classmethod
     def _stored(cls, n_nodes, rho, alpha, beta, global_bounds):
-        """Bounds stored as given: each a (P,) vector or a function t -> (P,)."""
+        """Bounds stored as given: each a (P,) vector or a function (times, cols) -> block."""
         const = not (callable(alpha) or callable(beta))
         out = cls.__new__(cls)._setup(n_nodes, rho, global_bounds, const)
         out._alpha, out._beta = (v if callable(v) else out._check(name, np.array(v, float))
                                  for name, v in (("alpha", alpha), ("beta", beta)))
         return out
 
-    def alpha(self, t: float) -> np.ndarray:
-        """alpha_ij(t) over the pairs, as one (P,) vector."""
-        return self._check("alpha", self._alpha(t), t) if callable(self._alpha) else self._alpha
+    def alpha(self, t, subset=None) -> np.ndarray:
+        """alpha_ij(t): (P,) at a scalar t, (T, P) at a 1-d array of T times."""
+        return self._read("alpha", self._alpha, t, subset)
 
-    def beta(self, t: float) -> np.ndarray:
-        """beta_ij(t) over the pairs, as one (P,) vector."""
-        return self._check("beta", self._beta(t), t) if callable(self._beta) else self._beta
+    def beta(self, t, subset=None) -> np.ndarray:
+        """beta_ij(t): (P,) at a scalar t, (T, P) at a 1-d array of T times."""
+        return self._read("beta", self._beta, t, subset)
 
-    def _check(self, name, v, t=None):
-        """v, read-only, after checking it is finite, and nonnegative for beta."""
+    def _read(self, name, f, t, subset):
+        """f at t on the pairs ``subset`` (pair indices; all pairs by default), checked."""
+        scalar = np.ndim(t) == 0
+        if np.ndim(t) > 1:
+            raise ValueError(f"{name} takes a scalar time or a 1-d array of times")
+        cols = slice(None) if subset is None else np.asarray(subset, dtype=np.int64)
+        if not callable(f):  # a stored vector, checked when it was stored
+            v = f[cols]
+            return v if scalar else np.broadcast_to(v, (len(t), len(v)))
+        times = [t] if scalar else np.asarray(t, dtype=float).tolist()
+        block = self._check(name, f(times, cols), times, cols)
+        return block[0] if scalar else block
+
+    def _check(self, name, v, times=(None,), cols=slice(None)):
+        """v, read-only, after checking it is finite, and nonnegative for beta;
+        in a (len(times), k) block on the pairs ``cols``, the earliest bad row is named."""
         if not np.isfinite(v).all() or (name == "beta" and (v < 0).any()):
-            p = int(np.argmax(~np.isfinite(v) | ((v < 0) if name == "beta" else False)))
-            (i, j), at = self._pairs[p], "" if t is None else f", {t}"
-            what = "is not finite" if not np.isfinite(v[p]) else "is negative"
-            raise ValueError(f"{name}({i}, {j}{at}) = {v[p]} {what}")
+            rows = v.reshape(len(times), -1)
+            bad = ~np.isfinite(rows) | ((rows < 0) if name == "beta" else False)
+            k, p = divmod(int(np.argmax(bad)), rows.shape[1])
+            i, j = self._pairs[p if isinstance(cols, slice) else int(cols[p])]
+            at = "" if times[k] is None else f", {times[k]}"
+            what = "is not finite" if not np.isfinite(rows[k, p]) else "is negative"
+            raise ValueError(f"{name}({i}, {j}{at}) = {rows[k, p]} {what}")
         v.setflags(write=False)
         return v
 
@@ -405,9 +432,11 @@ def pair_bounds_for_identical_nodes(n_nodes, l, rho, global_bounds=False):
     P = kern.n_pairs(n_nodes)
     if np.isscalar(l):
         return PairBoundSet._stored(n_nodes, rho, np.full(P, float(l)), np.zeros(P), True)
-    return PairBoundSet._stored(
-        n_nodes, rho, lambda t: np.full(P, float(l(t, rho))), np.zeros(P), global_bounds
-    )
+
+    def block(times, cols):
+        return np.array([np.full(P, float(l(t, rho))) for t in times]).reshape(-1, P)[:, cols]
+
+    return PairBoundSet._stored(n_nodes, rho, block, np.zeros(P), global_bounds)
 
 
 class ClusterSpec:

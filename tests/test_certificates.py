@@ -2,12 +2,14 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tempsync as ts
+from tempsync import certificates
 from tempsync._kernels import pair_arrays, pair_index, pair_sums
 from tempsync.certificates import ComparisonSystem, _grid_delta_gamma
 
@@ -416,11 +418,11 @@ def _principal_norms_reference(cs, grid, anchor_idx, substeps=4):
         U = np.eye(cs.dim)
         norms = [1.0]
         for t0, t1 in zip(timeline[:-1], timeline[1:]):
-            E_fn = segs[int(np.searchsorted(starts, t0, side="right")) - 1][2]
+            E_rows = segs[int(np.searchsorted(starts, t0, side="right")) - 1][2]
             h = (t1 - t0) / substeps
             for r in range(substeps):
                 t = t0 + r * h
-                E0, Em, E1 = E_fn(t), E_fn(t + h / 2), E_fn(t + h)
+                E0, Em, E1 = (E.copy() for E in E_rows([t, t + h / 2, t + h]))
                 K1 = E0 @ U
                 K2 = Em @ (U + h / 2 * K1)
                 K3 = Em @ (U + h / 2 * K2)
@@ -476,13 +478,13 @@ def test_constant_segments_build_e_once_per_pass_with_time_varying_bounds(monkey
     def recording_segments(self, t0, t1):
         pieces = system.schedule.segments_between(t0, t1)
         out = []
-        for (a, b, E_fn, b_fn, is_const), (_, _, piece) in zip(original_segments(self, t0, t1),
-                                                               pieces):
-            def E_rec(t, E_fn=E_fn, A=piece.matrix):
-                E = E_fn(t)
-                samples.append((t, A, E.copy()))
-                return E
-            out.append((a, b, E_rec, b_fn, is_const))
+        for (a, b, E_rows, b_rows, is_const), (_, _, piece) in zip(
+                original_segments(self, t0, t1), pieces):
+            def E_rec(times, E_rows=E_rows, A=piece.matrix):
+                for t, E in zip(times, E_rows(times)):
+                    samples.append((t, A, E.copy()))
+                    yield E
+            out.append((a, b, E_rec, b_rows, is_const))
         return out
 
     original_assemble = ts._kernels.assemble_comparison
@@ -497,6 +499,144 @@ def test_constant_segments_build_e_once_per_pass_with_time_varying_bounds(monkey
     assert chk.gamma_bar > 0 and len(samples) > 100
     for t, A, E in samples:
         assert E.tobytes() == certificates._comparison(1.5 * A, bounds.alpha(t))[0].tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [{"max_anchors": 0}, {"max_anchors": -1},
+                                    {"max_anchors": 2.0}, {"substeps": 0}, {"substeps": -2},
+                                    {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-9}])
+def test_decay_check_rejects_arguments_that_verify_nothing(kwargs):
+    # no anchor, no substep or a tol that no ratio can exceed would verify
+    # nothing, so each raises naming its parameter
+    E = np.array([[-8.0, 0.5], [0.5, -8.0]])
+    cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)
+    grid = np.linspace(0.0, 2.0, 21)
+    (name, _), = kwargs.items()
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ts.dominance_decay_check(cs, grid, **kwargs)
+    assert ts.dominance_decay_check(cs, grid, max_anchors=1, tol=0.0, substeps=1).anchors == [0.0]
+
+
+# -- block reads of time-varying bounds ----------------------------------------
+
+def _tv_instance(kind, seed, n=5):
+    """Seeded per-pair callable time-varying bounds, with every call recorded,
+    on a constant, functional or periodic row-dominant schedule."""
+    rng = np.random.default_rng(seed)
+    M = [rng.uniform(0.5, 2.0, (n, n)) for _ in range(3)]
+    wobble = rng.uniform(1.0, 4.0, (n, n))
+
+    def func(t, M=M[1]):
+        return M * (1.0 + 0.3 * np.sin(3.0 * t + wobble))
+
+    if kind == "constant":
+        sched = ts.build_switching_schedule(n, [(0.0, M[0]), (0.37, M[1]), (0.9, M[2])])
+    elif kind == "functional":
+        sched = ts.AdjacencySchedule(n, [0.0, 0.55, 1.1], [M[0], func, M[2]])
+    else:
+        sched = ts.AdjacencySchedule(n, [0.0, 0.3], [M[0], func], extension="periodic",
+                                     period=0.7)
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, sched, global_coupling=1.5)
+    a, w = rng.uniform(-1.0, 0.0, (n, n)), rng.uniform(1.0, 3.0, (n, n))
+    calls = {"alpha": [], "beta": []}
+    bounds = ts.PairBoundSet(
+        n, 1.0,
+        lambda i, j, t: calls["alpha"].append((i, j, t)) or a[i, j] + 0.3 * math.sin(w[i, j] * t),
+        lambda i, j, t: calls["beta"].append((i, j, t)) or 0.01 * (1.0 + math.cos(w[i, j] * t)))
+    return system, bounds, calls
+
+
+def _per_time_reference(monkeypatch):
+    """Read the bounds with one scalar read per time and build every sampled
+    E in full from A(t) and alpha(t), as the per-time code did."""
+    for name in ("alpha", "beta"):
+        def read(self, t, subset=None, scalar=getattr(ts.PairBoundSet, name)):
+            cols = slice(None) if subset is None else subset
+            if np.ndim(t) == 0:
+                return scalar(self, t)[cols]
+            return np.array([scalar(self, s)[cols] for s in t]).reshape(len(t), -1)
+        monkeypatch.setattr(ts.PairBoundSet, name, read)
+
+    def segments(self, t0, t1):
+        c, bounds = self._system.global_coupling, self._bounds
+        out = []
+        for a, b, piece in self._system.schedule.segments_between(t0, t1):
+            def E_rows(times, piece=piece):
+                for t in times:
+                    A = c * np.asarray(piece(t), float)
+                    yield certificates._metzler(certificates._comparison(A, bounds.alpha(t))[0], t)
+            out.append((a, b, E_rows, lambda times: (2.0 * bounds.beta(t) for t in times), False))
+        return out
+    monkeypatch.setattr(ComparisonSystem, "_segments", segments)
+
+
+@pytest.mark.parametrize("kind", ["constant", "functional", "periodic"])
+def test_block_reads_match_per_time_reads_bit_for_bit(kind, monkeypatch):
+    def run():
+        system, bounds, _ = _tv_instance(kind, 5)
+        cs = ComparisonSystem.from_network(system, bounds)
+        traj = ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 1.6,
+                                   ts.SolverConfig(dt=0.05, record_stride=1))
+        chk = ts.dominance_decay_check(cs, np.linspace(0.0, 1.6, 17))
+        assert chk.gamma_bar > 0 and len(chk.anchors) == 8
+        full = ts.check_full_sync(system, bounds, 1.6, 1.0, 1e-3)
+        cluster = ts.check_cluster_sync(system, bounds, ts.ClusterSpec([0, 2, 3]), 1.6, 100.0,
+                                        1e-3)
+        return (traj.times.tobytes(), traj.u.tobytes(), chk.gamma_bar, chk.verified,
+                chk.max_ratio, chk.anchors, json.dumps(full.to_json_dict()),
+                json.dumps(cluster.to_json_dict()))
+
+    blocks = run()
+    _per_time_reference(monkeypatch)
+    assert run() == blocks
+
+
+@pytest.mark.parametrize("kind", ["constant", "functional", "periodic"])
+def test_per_pair_callables_run_once_per_pair_and_sample_time(kind):
+    # a solve samples each segment at its stage times, a certificate at its
+    # grid times (alpha) and its window times (beta); a segment end is a
+    # sample time of both segments it bounds
+    system, bounds, calls = _tv_instance(kind, 6)
+    pairs = list(zip(*(k.tolist() for k in pair_arrays(5)[:2])))
+    cs = ComparisonSystem.from_network(system, bounds)
+    dt = 0.05
+    ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 1.6, ts.SolverConfig(dt=dt))
+    stages = []
+    for a, b, _ in system.schedule.segments_between(0.0, 1.6):
+        n = max(1, int(np.ceil((b - a) / dt - 1e-12)))
+        steps = a + (b - a) / n * np.arange(n + 1)
+        steps[-1] = b
+        stages += ts._kernels.stage_times(steps).tolist()
+    for name in ("alpha", "beta"):
+        assert Counter(calls[name]) == Counter((i, j, t) for t in stages for i, j in pairs)
+        del calls[name][:]
+    ts.check_full_sync(system, bounds, 1.6, 1.0, 1e-3)
+    for name in ("alpha", "beta"):
+        assert len(calls[name]) == len(set(calls[name])) == 161 * len(pairs)
+
+
+def test_cluster_certificate_reads_only_its_own_pairs():
+    n, J = 6, [1, 3, 4]
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.static_schedule(np.ones((n, n))))
+    calls = Counter()
+
+    def alpha(i, j, t):
+        calls["alpha"] += 1
+        return math.nan if (i, j) == (0, 5) else -1.0
+
+    def beta(i, j, t):
+        calls["beta"] += 1
+        return math.inf if (i, j) == (2, 3) else 0.01
+
+    bounds = ts.PairBoundSet(n, 1.0, alpha, beta)
+    cert = ts.check_cluster_sync(system, bounds, ts.ClusterSpec(J), 2.0, 1.0, 1e-3)
+    assert cert.verdict.holds
+    assert calls == {"alpha": 3 * 201, "beta": 3 * 201}  # |pairs(J)| x the 201 grid times
+    with pytest.raises(ValueError, match=r"alpha\(0, 5, 0\.0\) = nan is not finite"):
+        ts.check_full_sync(system, bounds, 2.0, 1.0, 1e-3)
+    in_J = ts.PairBoundSet(n, 1.0, lambda i, j, t: math.nan if (i, j) == (3, 4) and t >= 1.0
+                           else -1.0, lambda i, j, t: 0.0)
+    with pytest.raises(ValueError, match=r"alpha\(3, 4, 1\.0\) = nan is not finite"):
+        ts.check_cluster_sync(system, in_J, ts.ClusterSpec(J), 2.0, 1.0, 1e-3)
 
 
 # -- certificates ------------------------------------------------------------

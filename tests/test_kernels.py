@@ -45,6 +45,17 @@ def test_coupling_vanishes_on_consensus_states():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
+def test_laplacian_copies_and_the_in_place_kernel_writes_over_its_input():
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(6, 6))
+    A_before = A.copy()
+    L = kern.laplacian(A.T)  # any layout; the copy is C-ordered
+    assert np.array_equal(A, A_before)
+    assert np.allclose(L, A.T - np.diag(A.T.sum(axis=1)), rtol=0, atol=1e-14)
+    M = np.ascontiguousarray(A.T)
+    assert kern._laplacian_in_place(M) is M and M.tobytes() == L.tobytes()
+
+
 def test_xi_and_e_hat_hand_values():
     states = np.array([[[0.0], [1.0], [3.0]]])
     xi = kern.xi_series(states)
@@ -173,7 +184,8 @@ def test_rk4_sampled_linear_matches_stage_form():
         return (1 + np.cos(t)) * b
 
     ts_ = np.linspace(0.0, 1.5, 151)
-    got = kern.rk4_sampled_linear(E_at, b_at, ts_, np.ones(6))
+    stages = kern.stage_times(ts_)
+    got = kern.rk4_sampled_linear(map(E_at, stages), map(b_at, stages), ts_, np.ones(6))
     np.testing.assert_allclose(got, _stage_rk4(E_at, b_at, ts_, np.ones(6)), rtol=1e-12, atol=0)
 
 
@@ -199,7 +211,8 @@ def test_rk4_sampled_principal_matches_const_on_frozen_e():
     ts_ = np.linspace(0.0, 1.0, 41)
     hs = np.diff(ts_)
     n_c, V_c = kern.rk4_const_principal(E, hs, np.zeros((8, 3)), [0, 10, 40])
-    n_s, V_s = kern.rk4_sampled_principal(lambda t: E, ts_, np.zeros((8, 3)), [0, 10, 40])
+    n_s, V_s = kern.rk4_sampled_principal([E] * (2 * len(ts_) - 1), ts_, np.zeros((8, 3)),
+                                          [0, 10, 40])
     np.testing.assert_allclose(n_s, n_c, rtol=1e-12, atol=0)
     np.testing.assert_allclose(V_s, V_c, rtol=1e-12, atol=0)
     assert np.all(n_c[:, 2] == 0.0)  # a start beyond the last step never fires

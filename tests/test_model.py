@@ -260,6 +260,70 @@ def test_const_piece_matrices_are_frozen():
         piece.matrix[0, 1] = 5.0
 
 
+def _three_forms(n, seed):
+    """Seeded time-varying bounds as per-pair callables and in function form,
+    and constant bounds stored as vectors."""
+    rng = np.random.default_rng(seed)
+    a, w = rng.uniform(-2.0, 0.0, (n, n)), rng.uniform(1.0, 3.0, (n, n))
+    per_pair = ts.PairBoundSet(n, 1.0, lambda i, j, t: a[i, j] + 0.3 * math.sin(w[i, j] * t),
+                               lambda i, j, t: 0.1 * (1.0 + math.cos(w[i, j] * t)))
+    func = ts.pair_bounds_for_identical_nodes(n, lambda t, r: -r * (1.5 + math.sin(t)), 2.0)
+    return per_pair, func, ts.PairBoundSet.constant(n, a, 0.05, rho=1.0)
+
+
+def test_pair_bound_block_reads_match_scalar_reads():
+    # a (T, P) block, with or without a pair subset, holds the scalar reads
+    # row by row, bit for bit, and is read-only
+    times = np.linspace(-0.3, 2.0, 37)
+    for b in _three_forms(5, 3):
+        for subset in (None, [9, 0, 4], np.array([3])):
+            cols = slice(None) if subset is None else subset
+            for name in ("alpha", "beta"):
+                read = getattr(b, name)
+                block = read(times, subset)
+                ref = np.array([read(t)[cols] for t in times])
+                assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
+                assert read(times[4], subset).tobytes() == ref[4].tobytes()
+                assert not block.flags.writeable
+        assert b.alpha(times[:0]).shape == (0, 10)
+    with pytest.raises(ValueError, match="1-d array of times"):
+        b.alpha(np.zeros((2, 2)))
+
+
+def test_per_pair_callables_run_once_per_pair_and_time_of_a_block():
+    calls = []
+    b = ts.PairBoundSet(4, 1.0, lambda i, j, t: calls.append((i, j, t)) or -1.0,
+                        lambda i, j, t: 0.0)
+    times = [0.0, 0.5, 1.0]
+    b.alpha(times)
+    assert sorted(calls) == sorted((i, j, t) for t in times for i in range(4)
+                                   for j in range(i + 1, 4))
+    del calls[:]
+    b.alpha(times, subset=[5, 1])  # pairs (2, 3) and (0, 2)
+    assert calls == [(2, 3, 0.0), (0, 2, 0.0), (2, 3, 0.5), (0, 2, 0.5), (2, 3, 1.0), (0, 2, 1.0)]
+
+
+def test_bad_bound_in_a_block_names_the_earliest_bad_time():
+    times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    # pair (0, 1) turns bad later than pair (1, 2), so the earliest bad time wins
+    alpha = ts.PairBoundSet(
+        3, 1.0, lambda i, j, t: (math.inf if (i, j) == (0, 1) and t >= 0.75 else
+                                 math.nan if (i, j) == (1, 2) and t >= 0.5 else -1.0),
+        lambda i, j, t: -1.0 if (i, j) == (0, 2) and t >= 0.25 else 0.0)
+    with pytest.raises(ValueError, match=r"^alpha\(1, 2, 0\.5\) = nan is not finite$"):
+        alpha.alpha(times)
+    with pytest.raises(ValueError, match=r"^alpha\(0, 1, 0\.75\) = inf is not finite$"):
+        alpha.alpha(times, subset=[0])
+    assert np.array_equal(alpha.alpha(times, subset=[1]), np.full((5, 1), -1.0))
+    with pytest.raises(ValueError, match=r"^beta\(0, 2, 0\.25\) = -1\.0 is negative$"):
+        alpha.beta(times)
+    func = ts.pair_bounds_for_identical_nodes(3, lambda t, r: math.nan if t > 0.3 else -r, 1.0)
+    with pytest.raises(ValueError, match=r"^alpha\(0, 1, 0\.5\) = nan is not finite$"):
+        func.alpha(times)
+    with pytest.raises(ValueError, match=r"^alpha\(1, 2, 0\.5\) = nan is not finite$"):
+        func.alpha(times, subset=[2])
+
+
 # -- non-finite input -----------------------------------------------------------
 
 def test_constant_bounds_reject_nonfinite_values():
