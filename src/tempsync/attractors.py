@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .integrate import IntegrationError, SolverConfig, _write_json, integrate
-from .model import NetworkSystem, NodeField, static_schedule
+from .model import NetworkSystem, NodeField, _grid, static_schedule
 
 
 class HypothesisError(ValueError):
@@ -204,42 +204,43 @@ def coupled_comparison_check(system: NetworkSystem, L: Sequence, grid) -> Couple
     """Certify per-node attracting trajectories through row dominance.
 
     L holds one one-sided rate per node (scalars or contracts t -> l_i(t)).
-    Requires a_ij(t) >= 0 on the grid (checked; raises otherwise).  The
-    verdict is True iff sup l_i < 0 and the margin
+    The grid must be 1-d, nondecreasing and hold at least one time.
+    Requires a_ij(t) >= 0 on the grid (checked; raises HypothesisError) and
+    finite rates (checked; raises ValueError naming the node and the first
+    bad time).  The verdict is True iff sup l_i < 0 and the margin
     gamma = inf over (t, i) of |l_i(t)| - 2 sum_k a_ik(t) is positive, in
     which case squared per-node differences of any two runs decay at least
-    like exp(-gamma (t - t0)).
+    like exp(-gamma (t - t0)).  The adjacency is read with the schedule's
+    on_grid, one matrix per constant segment.
     """
     n = system.n_nodes
     if len(L) != n:
         raise ValueError(f"need one rate per node, got {len(L)} for {n} nodes")
     rates = [_as_time_fn(l) for l in L]
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must contain at least one time")
+    grid = _grid("grid", grid, 1)
     c = system.global_coupling
 
     def matrix(t):
-        A = c * system.schedule.sample(t)
-        C = 2.0 * A
-        for i in range(n):
-            C[i, i] = rates[i](t)
+        C = 2.0 * (c * system.schedule.sample(t))
+        np.fill_diagonal(C, [r(t) for r in rates])
         return C
 
-    gamma = math.inf
-    sup_l = -math.inf
-    for t in grid:
-        A = c * system.schedule.sample(t)
+    row_sums = np.empty((grid.size, n))
+    for run, A in system.schedule.on_grid(grid, n * n):
+        A = c * A
         if (A < 0).any():
-            i, k = np.argwhere(A < 0)[0]
+            q, i, k = np.argwhere(A < 0)[0]
             raise HypothesisError(
-                f"a_{i + 1}{k + 1}(t) = {A[i, k]:.6g} < 0 at t={t}; the coupled "
-                "comparison requires nonnegative weights"
+                f"a_{i + 1}{k + 1}(t) = {A[q, i, k]:.6g} < 0 at t={grid[run][q]}; the "
+                "coupled comparison requires nonnegative weights"
             )
-        lv = np.array([r(t) for r in rates])
-        sup_l = max(sup_l, float(lv.max()))
-        margins = -lv - 2.0 * A.sum(axis=1)
-        gamma = min(gamma, float(margins.min()))
+        row_sums[run] = A.sum(axis=2)
+    lv = np.array([[r(t) for r in rates] for t in grid])
+    if not np.isfinite(lv).all():
+        q, i = np.argwhere(~np.isfinite(lv))[0]
+        raise ValueError(f"rate l_{i + 1}(t) = {lv[q, i]} is not finite at t={grid[q]}")
+    sup_l = float(lv.max())
+    gamma = float((-lv - 2.0 * row_sums).min())
     verdict = sup_l < 0.0 and gamma > 0.0
     step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     return CoupledComparisonCheck(

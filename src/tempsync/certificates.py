@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _kernels as kern
 from .integrate import SolverConfig, _write_json, integrate
-from .model import ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _finite
+from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _chunks, _finite,
+                    _grid, _segment_runs)
 
 
 class InfeasibleTopologyError(ValueError):
@@ -61,41 +62,22 @@ def _comparison(A, alpha):
     return kern.assemble_comparison(A, delta), delta, gamma
 
 
-_STACK_SIZE = 2 ** 15  # entries of the largest (T, P, n) pair_sums buffer or (T, P) bound block
-
-
-def _chunks(times, width):
-    """times in consecutive runs of at most _STACK_SIZE // width (at least 1)."""
-    step = max(1, _STACK_SIZE // max(1, width))
-    return (times[k:k + step] for k in range(0, len(times), step))
-
-
 def _grid_delta_gamma(system, bounds, times, nodes):
     """delta and gamma sampled on a time grid for pairs within ``nodes``.
 
     delta keeps the full coupling sum over all N nodes; gamma restricts the
     cross-difference sum to ``nodes`` (the cluster margin).  A constant
     piece takes one pair_sums call per segment, a functional piece one per
-    chunk of its grid times; alpha is read as one block on these pairs only.
+    chunk of its grid times (the schedule's on_grid); alpha is read as one
+    block on these pairs only.
     """
     c = system.global_coupling
     nodes = np.asarray(nodes, dtype=np.int64)
     iu, ju = (nodes[k] for k in kern.pair_arrays(len(nodes))[:2])
     sel = kern.pair_arrays(system.n_nodes)[2][iu, ju]  # the pairs in bounds' vectors
     S, D = np.empty((2, len(times), len(iu)))
-    segs = system.schedule.segments_between(times[0], times[-1] + 1e-12)
-    starts = np.array([a for a, _, _ in segs])
-    seg_of = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(segs) - 1)
-    chunk = max(1, _STACK_SIZE // (len(iu) * system.n_nodes))
-    for s, (a, b, piece) in enumerate(segs):
-        idx = np.nonzero(seg_of == s)[0]
-        if idx.size == 0:
-            continue
-        const = isinstance(piece, _ConstPiece)  # a one-matrix stack for all its times
-        width = idx.size if const else chunk
-        for ch in (idx[k:k + width] for k in range(0, idx.size, width)):
-            A = piece.matrix[None] if const else np.stack([piece(t) for t in times[ch]])
-            S[ch], D[ch] = kern.pair_sums(c * A, iu, ju, nodes)
+    for run, A in system.schedule.on_grid(times, len(iu) * system.n_nodes):
+        S[run], D[run] = kern.pair_sums(c * A, iu, ju, nodes)
     delta = bounds.alpha(times, sel) - S
     return delta, 2.0 * np.abs(delta) - D, (iu, ju)
 
@@ -132,9 +114,7 @@ def compute_mu1(bounds: PairBoundSet, window_grid, pairs=None) -> float:
         if bad.size:
             raise ValueError(f"invalid pair ({iu[bad[0]]}, {ju[bad[0]]}) for {n} nodes")
     sel = pidx[iu, ju]
-    times = np.asarray(window_grid, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("window_grid must contain at least two times")
+    times = _grid("window_grid", window_grid, 2)
 
     def norm(v):
         return float(np.sqrt(np.dot(v, v)))
@@ -151,28 +131,28 @@ def compute_mu2(system: NetworkSystem, cluster: ClusterSpec, rho: float, window_
     2 rho^2 * max over (i, j in J, k outside J) of the sliding unit-window
     integral of |a_jk(s) - a_ik(s)| on the effective adjacency.  Zero when
     the cluster has no external nodes or every external column is identical
-    across cluster rows.
+    across cluster rows.  window_grid must be 1-d, nondecreasing and hold at
+    least two times.  The adjacency is read with the schedule's on_grid,
+    one matrix per constant segment, into one (T, Q) array of the Q
+    mismatch series.
     """
     cluster.validate_for(system.n_nodes)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    J = list(cluster.indices)
-    outside = [k for k in range(system.n_nodes) if k not in cluster.indices]
-    if not outside:
+    times = _grid("window_grid", window_grid, 2)
+    n, J = system.n_nodes, np.array(cluster.indices)
+    outside = np.setdiff1d(np.arange(n), J)
+    if not outside.size:
         return 0.0
-    times = np.asarray(window_grid, dtype=float)
+    iJ, jJ = (J[k] for k in kern.pair_arrays(len(J))[:2])
+    i, j, k = np.repeat(iJ, outside.size), np.repeat(jJ, outside.size), np.tile(outside, iJ.size)
     c = system.global_coupling
-    samples = np.stack([c * system.schedule.sample(t) for t in times])
-    worst = 0.0
-    for a_i in range(len(J)):
-        for b_i in range(a_i + 1, len(J)):
-            i, j = J[a_i], J[b_i]
-            for k in outside:
-                series = np.abs(samples[:, j, k] - samples[:, i, k])
-                if not series.any():
-                    continue
-                worst = max(worst, _sliding_unit_window_sup(times, series))
-    return 2.0 * rho * rho * worst
+    series = np.empty((len(times), k.size))  # column q: |c a_jk - c a_ik| of (i, j, k)[q]
+    for run, A in system.schedule.on_grid(times, n * n):
+        cA = c * A
+        series[run] = np.abs(cA[:, j, k] - cA[:, i, k])
+    return 2.0 * rho * rho * max(
+        [0.0, *(_sliding_unit_window_sup(times, q) for q in series.T if q.any())])
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +332,14 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
             raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must contain at least two times")
-    segs = cs._segments(grid[0], grid[-1] + 1e-12)
-    starts = np.array([a for a, *_ in segs])
-    seg_of = np.clip(np.searchsorted(starts, grid, side="right") - 1, 0, len(segs) - 1)
+    grid = _grid("grid", grid, 2)
+    segs = cs._segments(grid[0], np.nextafter(grid[-1], np.inf))  # a cut at grid[-1] counts
+    starts = [a for a, *_ in segs]
 
     gamma_bar = np.inf
-    for s, (a, b, E_rows, _, is_const) in enumerate(segs):
-        idx = np.nonzero(seg_of == s)[0]
-        if idx.size == 0:
-            continue
-        for E in E_rows(grid[idx[:1]] if is_const else grid[idx]):
+    for s, run in _segment_runs(starts, grid):
+        _, _, E_rows, _, is_const = segs[s]
+        for E in E_rows(grid[run][:1] if is_const else grid[run]):
             margins = -E.sum(axis=1)
             gamma_bar = min(gamma_bar, float(margins.min()))
     if gamma_bar <= 0:
@@ -411,21 +386,14 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
     rounding of the times themselves (4 ulp of the largest |t|) are stepped
     as one length, so a uniform grid needs one RK4 map per segment.
     """
-    cuts = [a for a, *_ in segs if grid[0] < a < grid[-1]]
+    cuts = [a for a in starts if grid[0] < a < grid[-1]]
     timeline = np.union1d(grid, cuts)
-    seg_idx = np.clip(
-        np.searchsorted(starts, timeline[:-1], side="right") - 1, 0, len(segs) - 1
-    )
     anchor_tl = np.searchsorted(timeline, grid[anchor_idx])
     same = 4.0 * np.spacing(np.abs(timeline).max())
     norms_tl = np.zeros((len(timeline), len(anchor_idx)))
     V = np.zeros((dim, len(anchor_idx)))
-    pos = 0
-    while pos < len(timeline) - 1:
-        s = seg_idx[pos]
-        end = pos
-        while end < len(timeline) - 1 and seg_idx[end] == s:
-            end += 1
+    for s, run in _segment_runs(starts, timeline[:-1]):
+        pos, end = run.start, run.stop
         _, _, E_rows, _, is_const = segs[s]
         tseg = timeline[pos:end + 1]
         lengths = np.diff(tseg)
@@ -436,13 +404,12 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
                 if close.any():
                     lengths[q] = lengths[np.argmax(close)]
             E = next(E_rows(tseg[:1]))
-            run, V = kern.rk4_const_principal(E, np.repeat(lengths / substeps, substeps), V, first)
+            out, V = kern.rk4_const_principal(E, np.repeat(lengths / substeps, substeps), V, first)
         else:
             ts = (tseg[:-1, None] + (lengths / substeps)[:, None] * np.arange(substeps)).ravel()
             ts = np.append(ts, tseg[-1])
-            run, V = kern.rk4_sampled_principal(E_rows(kern.stage_times(ts)), ts, V, first)
-        norms_tl[pos:end + 1] = run[::substeps]
-        pos = end
+            out, V = kern.rk4_sampled_principal(E_rows(kern.stage_times(ts)), ts, V, first)
+        norms_tl[pos:end + 1] = out[::substeps]
     return norms_tl[np.searchsorted(timeline, grid)]
 
 
@@ -564,6 +531,12 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
              margin, cluster=None):
     if bounds.n_nodes != system.n_nodes:
         raise ValueError("bounds and system disagree on the number of nodes")
+    for name, v in (("bound_M", bound_M), ("epsilon", epsilon), ("horizon", horizon),
+                    ("grid_step", grid_step), ("t0", t0), ("margin", margin)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if horizon <= 0 or grid_step <= 0 or horizon < grid_step:
@@ -665,7 +638,9 @@ def check_full_sync(system: NetworkSystem, bounds: PairBoundSet, horizon: float,
 
     boundedness_witness, when given (a coupled row-dominance check result or its JSON
     dict), is recorded in the certificate assumptions as the boundedness
-    justification behind rho.
+    justification behind rho.  bound_M, epsilon, horizon, grid_step and t0
+    must be finite and margin finite and >= 0, or ValueError names the
+    parameter.
     """
     cert = _certify(
         system, bounds, list(range(system.n_nodes)), horizon, bound_M,

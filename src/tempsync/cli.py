@@ -216,10 +216,6 @@ def _certify_common(cfg, args, out, cluster=None):
     return 0 if cert.verdict.holds else 2
 
 
-def _cmd_certify(cfg, args, out):
-    return _certify_common(cfg, args, out)
-
-
 def _cmd_cluster_certify(cfg, args, out):
     raw = _require(cfg, "cluster", list)
     try:
@@ -331,7 +327,7 @@ def _cmd_pullback_check(cfg, args, out):
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "certify": _cmd_certify,
+    "certify": _certify_common,
     "cluster-certify": _cmd_cluster_certify,
     "threshold": _cmd_threshold,
     "scenario": _cmd_scenario,

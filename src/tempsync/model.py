@@ -9,6 +9,7 @@ headers, verdict labels in JSON) use 1-based labels.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,6 +90,40 @@ def _finite(m: np.ndarray, entry: Callable[[int, int], str]) -> np.ndarray:
     return m
 
 
+_STACK_SIZE = 2 ** 15  # entries of the largest (T, P, n) pair_sums buffer or (T, P) bound block
+
+
+def _chunks(times, width):
+    """times in consecutive runs of at most _STACK_SIZE // width (at least 1)."""
+    step = max(1, _STACK_SIZE // max(1, width))
+    return (times[k:k + step] for k in range(0, len(times), step))
+
+
+def _grid(name, times, least):
+    """times as a 1-d float array of at least ``least`` (1 or 2) nondecreasing times."""
+    g = np.asarray(times, dtype=float)
+    if g.ndim != 1 or g.size < least:
+        raise ValueError(f"{name} must contain at least {('one time', 'two times')[least - 1]}")
+    down = np.flatnonzero(~(np.diff(g) >= 0))
+    if down.size:
+        q = int(down[0]) + 1
+        raise ValueError(f"{name} must be nondecreasing: {name}[{q}] = {g[q]} "
+                         f"follows {name}[{q - 1}] = {g[q - 1]}")
+    return g
+
+
+def _segment_runs(starts, times):
+    """(s, slice of times) for each segment s that holds some of the sorted times.
+
+    Segment s is [starts[s], starts[s + 1]), the last one unbounded; times
+    before starts[0] count to segment 0.  A segment that holds no time
+    yields nothing.
+    """
+    seg = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+    cut = [0, *(np.flatnonzero(np.diff(seg)) + 1).tolist(), len(seg)]
+    return [(int(seg[lo]), slice(lo, hi)) for lo, hi in zip(cut[:-1], cut[1:])]
+
+
 class _ConstPiece:
     """Constant matrix segment; evaluation ignores t."""
 
@@ -124,18 +159,23 @@ class _FuncPiece:
 class AdjacencySchedule:
     """Piecewise-defined weighted, signed adjacency A(t).
 
-    Piece k is active on [breakpoints[k], breakpoints[k+1]); the last piece
-    extends to +inf.  Sampling at a breakpoint returns the right-hand piece.
-    Diagonal entries are forced to zero on every sample.  Pieces must be
-    pointwise evaluable (and Riemann-integrable on their segment for the
-    solvers to converge); weight functions that are merely locally
-    integrable without pointwise values are not supported.  Extensions:
+    Piece i is active on [breakpoints[i], breakpoints[i+1]); the last piece
+    extends to +inf.  Pieces are right-continuous: at a breakpoint the
+    right-hand piece is active.  Diagonal entries are forced to zero on
+    every sample.  Pieces must be pointwise evaluable (and
+    Riemann-integrable on their segment for the solvers to converge);
+    weight functions that are merely locally integrable without pointwise
+    values are not supported.  Extensions:
 
     * "constant": before the first breakpoint the first piece is evaluated
       with t clamped to the first breakpoint.
-    * "periodic": requires an explicit ``period`` strictly larger than the
-      breakpoint span; sample(t) == sample(t - period).
+    * "periodic": requires an explicit ``period`` p strictly larger than
+      the breakpoint span; in period k the cuts are the floats b_i + k p
+      and a functional piece is evaluated at t - k p.
     * "none": sampling before the first breakpoint raises.
+
+    One rule (_locate) picks the active piece: sample, segments_between and
+    the grid reader on_grid all use it, so they agree at every time.
     """
 
     def __init__(self, n_nodes, breakpoints, pieces, extension="constant", period=None):
@@ -176,32 +216,33 @@ class AdjacencySchedule:
                 wrapped.append(_ConstPiece(m))
         self.pieces = tuple(wrapped)
 
-    # -- sampling ----------------------------------------------------------
+    # -- sampling: one rule decides which piece is active at t ------------
 
-    def _fold(self, t: float) -> float:
-        b0 = self.breakpoints[0]
-        if t < b0:
-            if self.extension == "none":
-                raise ScheduleDomainError(
-                    f"t={t} is before the first breakpoint {b0} and the "
-                    "schedule has extension 'none'"
-                )
-            if self.extension == "constant":
-                return b0
-            return b0 + (t - b0) % self.period
+    def _locate(self, t: float):
+        """(i, k, tau): piece i is active at t, in period k, and sees time tau.
+
+        In period k the cuts are b_i + k p (k = 0 off periodic schedules);
+        the active piece is the one whose cut is the last at or before t, and
+        it sees tau = t - k p.  Before b_0, extension "constant" gives the
+        first piece at tau = b_0 and "none" raises.
+        """
+        b, k, tau = self.breakpoints, 0, t
         if self.extension == "periodic":
-            return b0 + (t - b0) % self.period
-        return t
-
-    def _piece_at(self, t: float):
-        tau = self._fold(t)
-        idx = int(np.searchsorted(self.breakpoints, tau, side="right")) - 1
-        return self.pieces[idx], tau
+            p = self.period
+            k = math.floor((t - b[0]) / p)
+            k += int(b[0] + (k + 1) * p <= t) - int(b[0] + k * p > t)  # rounding of the floor
+            b, tau = b + k * p, t - k * p
+        elif t < b[0]:
+            if self.extension == "none":
+                raise ScheduleDomainError(f"t={t} is before the first breakpoint {b[0]} "
+                                          "and the schedule has extension 'none'")
+            return 0, 0, float(b[0])
+        return int(np.searchsorted(b, t, side="right")) - 1, k, tau
 
     def sample(self, t: float) -> np.ndarray:
         """A(t) with zero diagonal as a fresh C array; deterministic for fixed (schedule, t)."""
-        piece, tau = self._piece_at(t)
-        return np.array(piece(tau), dtype=float, order="C")
+        i, _, tau = self._locate(t)
+        return np.array(self.pieces[i](tau), dtype=float, order="C")
 
     @property
     def is_piecewise_constant(self) -> bool:
@@ -210,48 +251,47 @@ class AdjacencySchedule:
     def segments_between(self, t0: float, t1: float):
         """Maximal subintervals of [t0, t1] on which a single piece is active.
 
-        Returns a list of (a, b, piece) with a < b covering [t0, t1].  A
+        Returns a list of (a, b, piece) with a < b covering [t0, t1], cut at
+        the floats b_i + k p of _locate, which also picks each piece.  A
         constant piece is returned as is, since it ignores t.  A functional
-        piece expects the folded time on periodic schedules and before the
-        first breakpoint, so there its entry is a closure that folds.
+        piece in period k != 0 is a closure that evaluates it at t - k p, and
+        one before b_0 on "constant" a closure that evaluates it at b_0; so
+        at the segment's right end it gives the left limit.
         """
         if t1 <= t0:
             raise ValueError("need t1 > t0")
-        self._fold(t0)  # domain check for extension "none"
-        cuts = [t0, t1]
-        b0 = self.breakpoints[0]
+        b = self.breakpoints
         if self.extension == "periodic":
-            p = self.period
-            k0 = int(np.floor((t0 - b0) / p))
-            k1 = int(np.ceil((t1 - b0) / p))
-            for k in range(k0, k1 + 1):
-                for b in self.breakpoints:
-                    tb = b + k * p
-                    if t0 < tb < t1:
-                        cuts.append(tb)
-        else:
-            for b in self.breakpoints:
-                if t0 < b < t1:
-                    cuts.append(float(b))
-        cuts = sorted(set(cuts))
+            k0, k1 = self._locate(t0)[1], self._locate(t1)[1]
+            b = np.concatenate([b + k * self.period for k in range(k0, k1 + 1)])
+        cuts = sorted({t0, t1, *(float(c) for c in b if t0 < c < t1)})
         out = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            piece, tau_a = self._piece_at(a)
-            if isinstance(piece, _ConstPiece):
-                out.append((a, b, piece))
-            elif self.extension == "periodic":
-                # translate into the piece's base interval so evaluation at
-                # the segment's right endpoint stays on this piece (left
-                # limit) instead of wrapping to the next period
-                offset = tau_a - a
-                fn = (lambda pc, off: lambda t: pc(t + off))(piece, offset)
-                out.append((a, b, fn))
-            elif self.extension == "constant" and a < b0:
-                fn = (lambda pc, tb: lambda t: pc(tb))(piece, float(b0))
-                out.append((a, b, fn))
-            else:
-                out.append((a, b, piece))
+        for a, e in zip(cuts[:-1], cuts[1:]):
+            i, k, tau = self._locate(a)
+            piece = self.pieces[i]
+            if isinstance(piece, _FuncPiece) and k:
+                piece = (lambda pc, shift: lambda t: pc(t - shift))(piece, k * self.period)
+            elif isinstance(piece, _FuncPiece) and tau != a:  # clamped before b_0
+                piece = (lambda pc, tb: lambda t: pc(tb))(piece, tau)
+            out.append((a, e, piece))
         return out
+
+    def on_grid(self, times, width):
+        """(slice, A) for each run of the sorted ``times`` inside one segment.
+
+        A constant piece gives its matrix as a one-matrix stack (1, n, n) for
+        the whole run; a functional piece gives stacks of its samples, in
+        chunks of at most _STACK_SIZE // width times.  Each row equals
+        sample(t) at its time t; segments that hold no time yield nothing.
+        """
+        segs = self.segments_between(times[0], np.nextafter(times[-1], np.inf))
+        for s, run in _segment_runs([a for a, _, _ in segs], times):
+            piece = segs[s][2]
+            if isinstance(piece, _ConstPiece):
+                yield run, piece.matrix[None]
+                continue
+            for r in _chunks(range(run.start, run.stop), width):
+                yield slice(r.start, r.stop), np.stack([piece(t) for t in times[r.start:r.stop]])
 
     # -- serialization (piecewise-constant schedules only) -----------------
 
@@ -297,18 +337,9 @@ def build_switching_schedule(n_nodes, segments, extension="constant", period=Non
     """
     if not segments:
         raise ValueError("segments must be nonempty")
-    times = [float(t) for t, _ in segments]
-    if any(b <= a for a, b in zip(times[:-1], times[1:])):
-        raise ValueError("segment start times must be strictly increasing")
-    mats = []
-    for _, m in segments:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (n_nodes, n_nodes):
-            raise ValueError(
-                f"segment matrix has shape {m.shape}, expected ({n_nodes}, {n_nodes})"
-            )
-        mats.append(m)
-    return AdjacencySchedule(n_nodes, times, mats, extension=extension, period=period)
+    return AdjacencySchedule(n_nodes, [float(t) for t, _ in segments],
+                             [np.asarray(m, dtype=float) for _, m in segments],
+                             extension=extension, period=period)
 
 
 def sample_adjacency(schedule: AdjacencySchedule, t: float) -> np.ndarray:

@@ -597,10 +597,4 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
     )
     if return_series:
         report.series = err
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        fpath = os.path.join(out_dir, "certificate.json")
-        feas.write_json(fpath)
-        report.certificate_json = os.path.basename(fpath)
-        report = _emit(report, out_dir, traj, err)
-    return report
+    return _emit(report, out_dir, traj, err, feas)

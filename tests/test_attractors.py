@@ -165,6 +165,16 @@ def test_coupled_comparison_rejects_negative_weights():
         ts.coupled_comparison_check(system, [-1.0, -1.0], np.linspace(0, 1, 5))
 
 
+def test_coupled_comparison_rejects_nonfinite_rates():
+    # a NaN dropped out of max/min and the check returned verdict=True, gamma=inf
+    system = _coupled_pair(weight=0.0)
+    with pytest.raises(ValueError, match=r"^rate l_2\(t\) = nan is not finite at t=0.0$"):
+        ts.coupled_comparison_check(system, [-4.0, math.nan], np.linspace(0, 1, 5))
+    late = lambda t: -4.0 if t < 0.6 else -math.inf
+    with pytest.raises(ValueError, match=r"^rate l_1\(t\) = -inf is not finite at t=0.75$"):
+        ts.coupled_comparison_check(system, [late, -4.0], np.linspace(0, 1, 5))
+
+
 def test_boundedness_witness_decay_and_export(tmp_path):
     system = _coupled_pair()
     chk = ts.coupled_comparison_check(system, [-4.0, -4.0], np.linspace(0, 1, 11))

@@ -156,7 +156,7 @@ def test_transposed_functional_piece_loses_its_diagonal():
 def test_functional_grid_in_chunks_matches_per_time_loop():
     # a functional piece is stacked over its grid times in chunks; across
     # several chunks delta and gamma keep the bits of one pair_sums per time
-    from tempsync import certificates
+    from tempsync import model
     rng = np.random.default_rng(21)
     n, c = 12, 1.3
     B, W = rng.normal(size=(2, n, n))
@@ -169,7 +169,7 @@ def test_functional_grid_in_chunks_matches_per_time_loop():
     times = np.linspace(0.0, 6.0, 601)
     for nodes in (np.arange(n), np.array([1, 4, 5, 9])):
         iu, ju = (nodes[k] for k in pair_arrays(len(nodes))[:2])
-        assert times.size > certificates._STACK_SIZE // (len(iu) * n)  # more than one chunk
+        assert times.size > model._STACK_SIZE // (len(iu) * n)  # more than one chunk
         delta, gamma, _ = _grid_delta_gamma(system, bounds, times, nodes)
         sel = pair_arrays(n)[2][iu, ju]
         for k, t in enumerate(times):
@@ -256,6 +256,105 @@ def test_mu2_no_external_nodes():
     system = _zero_system(A)
     cluster = ts.ClusterSpec([0, 1, 2])
     assert ts.compute_mu2(system, cluster, 1.0, np.arange(0, 2, 0.01)) == 0.0
+
+
+# -- grid reads of the schedule ----------------------------------------------
+
+def _mu2_reference(system, cluster, rho, times):
+    """compute_mu2 with A sampled at every time and one series per (i, j, k)."""
+    J = list(cluster.indices)
+    outside = [k for k in range(system.n_nodes) if k not in J]
+    samples = np.stack([system.global_coupling * system.schedule.sample(t) for t in times])
+    worst = 0.0
+    for a in range(len(J)):
+        for b in range(a + 1, len(J)):
+            for k in outside:
+                series = np.abs(samples[:, J[b], k] - samples[:, J[a], k])
+                if series.any():
+                    worst = max(worst, certificates._sliding_unit_window_sup(times, series))
+    return 2.0 * rho * rho * worst
+
+
+def _coupled_reference(system, rates, grid):
+    """(gamma, verdict) of coupled_comparison_check with A sampled at every time."""
+    gamma, sup_l = math.inf, -math.inf
+    for t in grid:
+        A = system.global_coupling * system.schedule.sample(t)
+        lv = np.array([r(t) for r in rates])
+        sup_l = max(sup_l, float(lv.max()))
+        gamma = min(gamma, float((-lv - 2.0 * A.sum(axis=1)).min()))
+    return gamma, sup_l < 0.0 and gamma > 0.0
+
+
+def _grid_read_instances(seed):
+    rng = np.random.default_rng(seed)
+    for trial in range(12):
+        n = 4 + trial % 3
+        breaks = np.unique(np.round(rng.uniform(0.0, 2.5, 3), 3))
+        pieces = []
+        for q in range(breaks.size):
+            B, W = rng.uniform(0.0, 1.0, (2, n, n)) * (rng.random((2, n, n)) < 0.7)
+            functional = trial % 4 == 1 or (trial % 4 == 2 and q == 0)
+            pieces.append((lambda t, B=B, W=W: B + W * np.sin(2.0 * t) ** 2) if functional else B)
+        grid = rng.uniform(-0.6, 0.3) + np.linspace(0.0, 2.0 + rng.uniform(0.0, 1.0), 231)
+        system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.AdjacencySchedule(n, breaks, pieces),
+                                  global_coupling=rng.uniform(0.5, 2.0))
+        yield rng, system, grid  # grids start before or after the first breakpoint
+
+
+def test_grid_reads_match_per_time_sample_reference():
+    # constant, functional and mixed schedules; the readers equal a loop
+    # that samples A at every grid time, bit for bit
+    for rng, system, grid in _grid_read_instances(5):
+        n = system.n_nodes
+        for J in ([0, 1], [0, 2, n - 1], list(range(n - 1))):
+            cluster = ts.ClusterSpec(J)
+            got = ts.compute_mu2(system, cluster, 1.3, grid)
+            assert got.hex() == _mu2_reference(system, cluster, 1.3, grid).hex()
+        rates = [(lambda t, r=r: -r - np.cos(t)) for r in rng.uniform(1.0, 12.0, n)]
+        chk = ts.coupled_comparison_check(system, rates, grid)
+        gamma, verdict = _coupled_reference(system, rates, grid)
+        assert (chk.gamma.hex(), chk.verdict) == (gamma.hex(), verdict)
+
+
+def test_grid_reads_do_not_sample_piecewise_constant_schedules(monkeypatch):
+    def no_sample(self, t):
+        raise AssertionError("sampled per time")
+    for _, system, grid in _grid_read_instances(7):
+        if system.schedule.is_piecewise_constant:
+            break
+    monkeypatch.setattr(ts.AdjacencySchedule, "sample", no_sample)
+    assert ts.compute_mu2(system, ts.ClusterSpec([0, 1]), 1.0, grid) > 0.0
+    ts.coupled_comparison_check(system, [-50.0] * system.n_nodes, grid)
+
+
+def test_switch_at_the_last_grid_time_counts_far_from_zero():
+    # at t = 1e5 the old segment end grid[-1] + 1e-12 rounded to grid[-1], so
+    # the switch to A = 0 at the last grid time was dropped (gamma_bar 8, not 2)
+    A = np.ones((3, 3)) - np.eye(3)
+    bounds = ts.PairBoundSet.constant(3, -1.0, 0.0, rho=1.0)
+    for t0 in (0.0, 1e5):
+        sched = ts.build_switching_schedule(3, [(t0, A), (t0 + 2.0, np.zeros((3, 3)))])
+        system = ts.NetworkSystem([ts.zero_dynamics(1)] * 3, sched)
+        cs = ComparisonSystem.from_network(system, bounds)
+        assert ts.dominance_decay_check(cs, t0 + np.linspace(0.0, 2.0, 21)).gamma_bar == 2.0
+        assert ts.check_full_sync(system, bounds, 2.0, 1.0, 1e-3, t0=t0).gamma_bar == 2.0
+
+
+def test_grid_readers_reject_bad_grids():
+    system = _zero_system(np.ones((3, 3)) - np.eye(3))
+    cs = ComparisonSystem.from_network(system, ts.PairBoundSet.constant(3, -1.0, 0.0, rho=1.0))
+    unsorted = np.array([0.0, 0.5, 1.5, 1.2, 2.0])
+    cluster = ts.ClusterSpec([0, 1])
+    for bad in ([], [0.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="window_grid must contain at least two times"):
+            ts.compute_mu2(system, cluster, 1.0, bad)
+    for call in (lambda g: ts.compute_mu2(system, cluster, 1.0, g),
+                 lambda g: ts.coupled_comparison_check(system, [-9.0] * 3, g),
+                 lambda g: ts.dominance_decay_check(cs, g)):
+        with pytest.raises(ValueError, match=r"grid must be nondecreasing: \w*grid\[3\] = 1.2"):
+            call(unsorted)
+        call(np.array([0.0, 0.5, 1.5, 1.5, 2.0]))  # a repeated time is in order
 
 
 # -- comparison solve and decay ----------------------------------------------
@@ -462,7 +561,7 @@ def test_constant_segments_build_e_once_per_pass_with_time_varying_bounds(monkey
     # assembles E once per segment, a decay check once per segment in each of
     # its two passes (margins, then propagation), and every sampled E still
     # equals the full build at its time bit for bit
-    from tempsync import certificates
+    from tempsync import model
     rng = np.random.default_rng(17)
     n = 4
     segs = [(t, rng.uniform(1.0, 2.0, (n, n))) for t in (0.0, 1.0, 2.0)]
@@ -666,6 +765,24 @@ def test_full_sync_parameter_errors():
         ts.check_full_sync(system, good, 0.0, bound_M=1.0, epsilon=0.1)
     with pytest.raises(ValueError):
         ts.check_full_sync(system, good, 5.0, bound_M=1.0, epsilon=-1.0)
+
+
+@pytest.mark.parametrize("name", ["bound_M", "epsilon", "horizon", "grid_step", "t0", "margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_certificate_rejects_nonfinite_parameters(name, value):
+    # with bound_M = 0.11 this instance fails on gamma; a NaN used to turn
+    # the comparisons against it into "holds"
+    system = ts.NetworkSystem([ts.zero_dynamics(1)] * 2, ts.static_schedule(np.ones((2, 2))))
+    bounds = ts.PairBoundSet.constant(2, 1.9, 0.05, rho=1)
+    args = dict(horizon=1.0, bound_M=0.11, epsilon=1e-3)
+    assert ts.check_full_sync(system, bounds, **args).verdict.render() == "fails(gamma,(1,2),t=0)"
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ts.check_full_sync(system, bounds, **args)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ts.check_cluster_sync(system, bounds, ts.ClusterSpec([0, 1]), **args)
+    with pytest.raises(ValueError, match="^margin must be >= 0"):
+        ts.check_full_sync(system, bounds, 1.0, 0.11, 1e-3, margin=-1e-9)
 
 
 def test_full_sync_failure_names_pair_and_condition():

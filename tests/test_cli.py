@@ -136,6 +136,26 @@ def test_certify_rejects_nonfinite_bound(tmp_path, capsys):
     assert not (out / "certificate.json").exists()
 
 
+def test_certify_rejects_nan_bound_m(tmp_path, capsys):
+    # this instance fails on gamma (exit 2); --bound-M nan used to exit 0 and
+    # write a bare NaN into certificate.json
+    cfg = _write(
+        tmp_path / "pair.json",
+        {
+            "network": {"kind": "complete", "n": 2},
+            "bounds": {"kind": "constant", "alpha": 1.9, "beta": 0.05, "rho": 1.0},
+            "horizon": 1.0,
+            "epsilon": 1e-3,
+            "bound_M": 0.11,
+        },
+    )
+    assert dispatch(["certify", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    out = tmp_path / "b"
+    assert dispatch(["certify", "--config", cfg, "--out", str(out), "--bound-M", "nan"]) == 1
+    assert "bound_M must be finite, got nan" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+
+
 def test_parser_is_built_once_and_keeps_no_option_values(tmp_path, monkeypatch):
     seen = []
     for name in ("scenario", "simulate"):

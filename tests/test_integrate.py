@@ -253,6 +253,21 @@ def test_periodic_schedule_integrates_like_unrolled():
     assert np.allclose(end_p, end_u, rtol=0, atol=1e-15)
 
 
+def test_blinking_periodic_consensus_integrates_like_unrolled():
+    # 3-node consensus coupled only on [0.1, 0.2) of each period 0.3: ten
+    # unit-weight windows of 0.1 shrink the disagreement (1, -1, 0) by
+    # exp(-3 * 1.0); before, 7 of 30 segments held the previous piece
+    p, K3, Z = 0.3, np.ones((3, 3)) - np.eye(3), np.zeros((3, 3))
+    segs = [(0.0, Z), (0.1, K3), (0.2, Z)]
+    periodic = ts.build_switching_schedule(3, segs, extension="periodic", period=p)
+    unrolled = ts.build_switching_schedule(3, [(b + k * p, m) for k in range(10) for b, m in segs])
+    x0 = np.array([[1.0], [-1.0], [0.0]])
+    ends = [ts.integrate(ts.NetworkSystem([ts.zero_dynamics(1)] * 3, s), 0.0, x0, 3.0,
+                         ts.SolverConfig(dt=1e-3)).final_state() for s in (periodic, unrolled)]
+    assert ends[0].tobytes() == ends[1].tobytes()
+    assert abs(abs(ends[0][0, 0]) - math.exp(-3.0)) < 1e-9
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         ts.SolverConfig(method="euler")
