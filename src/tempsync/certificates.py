@@ -16,6 +16,7 @@ therefore carry a "grid-verified" assumption rather than a proof claim.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -53,12 +54,7 @@ def evaluate_comparison(system: NetworkSystem, bounds: PairBoundSet, t: float):
     if bounds.n_nodes != system.n_nodes:
         raise ValueError("bounds and system disagree on the number of nodes")
     A = system.global_coupling * system.schedule.sample(t)
-    return _comparison(A, bounds.alpha(t))
-
-
-def _comparison(A, alpha):
-    """(E, delta, gamma) of the effective adjacency A and the pair rates alpha."""
-    delta, gamma = kern.delta_gamma(A, alpha)
+    delta, gamma = kern.delta_gamma(A, bounds.alpha(t))
     return kern.assemble_comparison(A, delta), delta, gamma
 
 
@@ -164,86 +160,93 @@ class ComparisonSystem:
 
     Off-diagonal entries of E(t) are nonnegative for every t, so solutions
     started in the positive cone stay there.  Built from a network via
-    :meth:`from_network`, or manually from dim and callables.
+    :meth:`from_network`, or by hand from dim >= 1, callables E(t) (Metzler)
+    and beta(t) (finite, nonnegative; both checked at every time read),
+    finite breakpoints and whether both are constant between them.
+
+    _segments(t0, t1) gives one record per interval between breakpoints: a,
+    b, const (E and beta fixed on [a, b]), E_rows(times) and b_rows(times),
+    which yield the checked E(t) and beta(t) in order (a yielded E may be
+    one buffer rewritten for the next time), and margins(times), the (T, dim)
+    block -rowsum(E(t)).  A network-built record takes its margins from the
+    pair sums as -(2 delta + D); on a constant piece it keeps only S and D
+    and assembles E only when E_rows is read.
     """
 
     def __init__(self, dim, E, beta, breakpoints=None, piecewise_constant=False):
-        self.dim = int(dim)
-        self._E = E
-        self._beta = beta
-        self._breakpoints = (
-            np.asarray(breakpoints, dtype=float) if breakpoints is not None else None
-        )
-        self.piecewise_constant = bool(piecewise_constant)
-        self._system = None
-        self._bounds = None
+        self.dim = d = int(dim)
+        if d < 1:
+            raise ValueError(f"dim must be >= 1, got {dim!r}")
+        cuts = np.asarray([] if breakpoints is None else breakpoints, dtype=float).reshape(-1)
+        if not np.isfinite(cuts).all():
+            raise ValueError(f"breakpoints must be finite, got {cuts.tolist()!r}")
+
+        def E_rows(times):
+            return (_metzler(np.asarray(E(t), dtype=float).reshape(d, d), t) for t in times)
+
+        def b_rows(times):
+            return (_nonnegative(np.asarray(beta(t), dtype=float).reshape(d),
+                                 f"comparison input beta(t) at t={t:.6g}") for t in times)
+
+        def margins(times):
+            return np.array([-E.sum(axis=1) for E in E_rows(times)])
+
+        def segments(t0, t1):
+            edges = sorted({t0, t1, *(float(b) for b in cuts if t0 < b < t1)})
+            return [SimpleNamespace(a=a, b=b, const=bool(piecewise_constant), E_rows=E_rows,
+                                    b_rows=b_rows, margins=margins)
+                    for a, b in zip(edges[:-1], edges[1:])]
+        self._segments = segments
 
     @classmethod
     def from_network(cls, system: NetworkSystem, bounds: PairBoundSet) -> "ComparisonSystem":
         if bounds.n_nodes != system.n_nodes:
             raise ValueError("bounds and system disagree on the number of nodes")
-        cs = cls(
-            kern.n_pairs(system.n_nodes),
-            lambda t: evaluate_comparison(system, bounds, t)[0],
-            lambda t: 2.0 * bounds.beta(t),
-            piecewise_constant=system.schedule.is_piecewise_constant and bounds.time_constant,
-        )
-        cs._system = system
-        cs._bounds = bounds
+        c, n, dim = system.global_coupling, system.n_nodes, kern.n_pairs(system.n_nodes)
+        iu, ju, _ = kern.pair_arrays(n)
+        cs = cls(dim, None, None)
+
+        def b_rows(times):  # checked by PairBoundSet.beta
+            for ch in _chunks(times, dim):
+                yield from 2.0 * bounds.beta(ch)
+
+        def record(a, b, piece):
+            const = isinstance(piece, _ConstPiece)
+            if const:  # O(P) numbers, all the margins need; E is assembled for propagation only
+                cA = c * piece.matrix
+                S, D = kern.pair_sums(cA, iu, ju, np.arange(n))
+
+            def blocks(times):
+                """(times, c A(t), delta(t), D(t)) per chunk of times, each indexed by time."""
+                for ch in _chunks(times, dim * n):
+                    A = [cA] * len(ch) if const else c * np.stack([piece(t) for t in ch])
+                    S_t, D_t = (S, D) if const else kern.pair_sums(A, iu, ju, np.arange(n))
+                    yield ch, A, bounds.alpha(ch) - S_t, D_t
+
+            def E_rows(times):
+                E = None  # a constant piece assembles E once per call, then moves its diagonal
+                for ch, A, delta, _ in blocks(times):
+                    for k, t in enumerate(ch):
+                        if E is None or not const:
+                            E = _metzler(kern.assemble_comparison(A[k], delta[k]), t)
+                        else:
+                            E.reshape(-1)[:: dim + 1] = d = 2.0 * delta[k]  # the diagonal
+                            if not np.isfinite(d).all():
+                                _metzler(E, t)  # raises
+                        yield E
+
+            def margins(times):  # -(2 delta + D): row (i, j) of E sums 2 delta and D
+                out = np.concatenate([-(2.0 * delta + D) for _, _, delta, D in blocks(times)])
+                for k in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+                    next(E_rows(times[k:k + 1]))  # raises naming the entry, if E(t) has one
+                return out
+
+            return SimpleNamespace(a=a, b=b, const=const and bounds.time_constant,
+                                   E_rows=E_rows, b_rows=b_rows, margins=margins)
+
+        cs._segments = lambda t0, t1: [
+            record(*seg) for seg in system.schedule.segments_between(t0, t1)]
         return cs
-
-    def E(self, t: float) -> np.ndarray:
-        return np.asarray(self._E(t), dtype=float).reshape(self.dim, self.dim)
-
-    def beta(self, t: float) -> np.ndarray:
-        return np.asarray(self._beta(t), dtype=float).reshape(self.dim)
-
-    def _segments(self, t0, t1):
-        """(a, b, E_rows, b_rows, is_const) covering [t0, t1], split at breaks.
-
-        E_rows(times) and b_rows(times) yield E(t), checked by _metzler, and
-        beta(t) at each of the times in order; a yielded E may be one buffer
-        rewritten for the next time.
-        """
-        out = []
-        if self._system is not None:
-            c = self._system.global_coupling
-            bounds = self._bounds
-
-            def b_rows(times):
-                for ch in _chunks(times, self.dim):
-                    yield from 2.0 * bounds.beta(ch)
-
-            for a, b, piece in self._system.schedule.segments_between(t0, t1):
-                const = isinstance(piece, _ConstPiece)
-                if const:
-                    def E_rows(times, A=piece.matrix):
-                        # built once per call; only the diagonal 2 (alpha(t) - S) moves with t
-                        E, negS = _comparison(c * A, np.zeros(self.dim))[:2]
-                        _metzler(E, times[0])  # the fixed off-diagonal part, checked once
-                        diag = E.reshape(-1)[:: self.dim + 1]  # a view
-                        for ch in _chunks(times, self.dim):
-                            D = 2.0 * (bounds.alpha(ch) + negS)
-                            for t, d, finite in zip(ch, D, np.isfinite(D).all(axis=1)):
-                                diag[:] = d
-                                yield E if finite else _metzler(E, t)  # raises
-                else:
-                    def E_rows(times, piece=piece):
-                        for ch in _chunks(times, self.dim):
-                            for t, alpha in zip(ch, bounds.alpha(ch)):
-                                A = c * np.asarray(piece(t), float)
-                                yield _metzler(_comparison(A, alpha)[0], t)
-
-                out.append((a, b, E_rows, b_rows, const and bounds.time_constant))
-            return out
-        cuts = [t0, t1]
-        if self._breakpoints is not None:
-            cuts += [float(b) for b in self._breakpoints if t0 < b < t1]
-        cuts = sorted(set(cuts))
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            out.append((a, b, lambda times: (_metzler(self.E(t), t) for t in times),
-                        lambda times: map(self.beta, times), self.piecewise_constant))
-        return out
 
 
 class ComparisonTrajectory:
@@ -254,37 +257,33 @@ class ComparisonTrajectory:
 
 def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
                      cfg: SolverConfig | None = None) -> ComparisonTrajectory:
-    """Integrate the comparison system from a nonnegative initial vector.
+    """Integrate the comparison system from a finite, nonnegative initial vector.
 
-    Fixed-step RK4 split at breakpoints.  On a segment with time-varying
-    coefficients, E and beta are sampled at the RK4 stage times, and pair
-    bounds are read once per segment as (T, P) blocks.  Every E used must be
-    Metzler (nonnegative off the diagonal), so that the exact solution stays
-    in the positive cone; a sampled E with a negative off-diagonal entry
-    raises ValueError naming the time and entry.  The output is clipped at
-    zero, which then only removes rounding below zero.
+    Fixed-step RK4 on each segment record.  A time-varying record's E and
+    beta are sampled at the RK4 stage times, with pair bounds read once per
+    segment as (T, P) blocks.  Every E used must be Metzler (nonnegative off
+    the diagonal) and beta and xi0 finite and nonnegative, so that the exact
+    solution stays in the positive cone; ValueError names the first bad time
+    and entry, or index of xi0.  The output is clipped at zero, which then
+    only removes rounding below zero.
     """
     cfg = cfg or SolverConfig()
-    u0 = np.asarray(xi0, dtype=float).reshape(cs.dim)
-    if (u0 < 0).any():
-        raise ValueError("initial comparison state must be nonnegative")
-    # recording mirrors the trajectory integrator: every record_stride-th
-    # step plus every segment end, so dominance can be checked samplewise
-    times = [t0]
-    rows = [u0]
-    u = u0
-    count = 0
-    for a, b, E_rows, b_rows, is_const in cs._segments(t0, t_end):
+    u0 = _nonnegative(np.asarray(xi0, dtype=float).reshape(cs.dim), "initial comparison state")
+    # recording mirrors the trajectory integrator: every record_stride-th step
+    # plus every segment end, which the next segment starts from
+    times, rows, count = [t0], [u0], 0
+    for seg in cs._segments(t0, t_end):
+        a, b = seg.a, seg.b
         n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
         h = (b - a) / n_steps
-        if is_const:
-            out = kern.rk4_const_linear(next(E_rows([a])), next(b_rows([a])), u, h, n_steps)
+        if seg.const:
+            out = kern.rk4_const_linear(next(seg.E_rows([a])), next(seg.b_rows([a])), rows[-1],
+                                        h, n_steps)
         else:
             ts = a + h * np.arange(n_steps + 1)
             ts[-1] = b
             stages = kern.stage_times(ts)
-            out = kern.rk4_sampled_linear(E_rows(stages), b_rows(stages), ts, u)
-        u = out[-1]
+            out = kern.rk4_sampled_linear(seg.E_rows(stages), seg.b_rows(stages), ts, rows[-1])
         for s in range(1, n_steps + 1):
             count += 1
             if count % cfg.record_stride == 0 or s == n_steps:
@@ -307,13 +306,14 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
                           tol: float = 1e-6, substeps: int = 4) -> DecayCheck:
     """Row-dominance margin and numerical verification of the decay bound.
 
-    gamma_bar is the grid infimum of the per-row margins -(row sum of E(t)),
-    which equals min-pair gamma_ij whenever the diagonal is negative.  E(t)
-    must be Metzler (nonnegative off the diagonal); a sampled E with a
-    negative off-diagonal entry raises ValueError naming the time.  For a
-    Metzler E the largest row sum is the log-norm mu_inf(E), so by Coppel's
-    inequality ||U(t, s)||_inf <= exp(-gamma_bar (t - s)) whenever the margin
-    stays above gamma_bar (Soderlind 2006, BIT 46).
+    gamma_bar is the grid infimum of the segment records' margins -(row sum
+    of E(t)), which equals min-pair gamma_ij whenever the diagonal is
+    negative; a network-built record takes them from the pair sums, so E is
+    assembled once per constant segment, for propagation only.  E(t) must be
+    Metzler (nonnegative off the diagonal), or ValueError names the time.
+    For a Metzler E the largest row sum is the log-norm mu_inf(E), so by
+    Coppel's inequality ||U(t, s)||_inf <= exp(-gamma_bar (t - s)) whenever
+    the margin stays above gamma_bar (Soderlind 2006, BIT 46).
 
     verified is True only when gamma_bar > 0 and the propagated principal
     solution satisfies ||U(t, s)||_inf <= exp(-gamma_bar (t-s))(1+tol) from
@@ -334,31 +334,19 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     grid = _grid("grid", grid, 2)
     segs = cs._segments(grid[0], np.nextafter(grid[-1], np.inf))  # a cut at grid[-1] counts
-    starts = [a for a, *_ in segs]
-
-    gamma_bar = np.inf
-    for s, run in _segment_runs(starts, grid):
-        _, _, E_rows, _, is_const = segs[s]
-        for E in E_rows(grid[run][:1] if is_const else grid[run]):
-            margins = -E.sum(axis=1)
-            gamma_bar = min(gamma_bar, float(margins.min()))
+    gamma_bar = min(float(segs[s].margins(grid[run][:1] if segs[s].const else grid[run]).min())
+                    for s, run in _segment_runs([seg.a for seg in segs], grid))
     if gamma_bar <= 0:
         return DecayCheck(gamma_bar, False, np.inf, [])
 
-    anchor_idx = np.unique(
-        np.linspace(0, len(grid) - 2, min(max_anchors, len(grid) - 1)).astype(int)
-    )
-    norms = _anchor_norms(cs.dim, segs, starts, grid, anchor_idx, substeps)
-    max_ratio = 0.0
-    verified = True
-    for k, ai in enumerate(anchor_idx):
-        ts = grid[ai:]
-        bound = np.exp(-gamma_bar * (ts - ts[0]))
-        ratio = float(np.max(norms[ai:, k] / bound))
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 + tol:
-            verified = False
-    return DecayCheck(gamma_bar, verified, max_ratio, [float(grid[i]) for i in anchor_idx])
+    anchor_idx = np.unique(np.linspace(0, len(grid) - 2, min(max_anchors, len(grid) - 1))
+                           .astype(int))
+    norms = _anchor_norms(cs.dim, segs, grid, anchor_idx, substeps)
+    ratios = (float(np.max(norms[ai:, k] / np.exp(-gamma_bar * (grid[ai:] - grid[ai]))))
+              for k, ai in enumerate(anchor_idx))
+    max_ratio = max([0.0, *ratios])
+    return DecayCheck(gamma_bar, max_ratio <= 1.0 + tol, max_ratio,
+                      [float(grid[i]) for i in anchor_idx])
 
 
 def _metzler(E: np.ndarray, t: float) -> np.ndarray:
@@ -368,14 +356,22 @@ def _metzler(E: np.ndarray, t: float) -> np.ndarray:
     np.fill_diagonal(neg, False)
     if neg.any():
         i, j = np.argwhere(neg)[0]
-        raise ValueError(
-            f"comparison matrix E(t) at t={t:.6g} is not Metzler: entry "
-            f"({i + 1}, {j + 1}) = {E[i, j]:.6g} < 0"
-        )
+        raise ValueError(f"comparison matrix E(t) at t={t:.6g} is not Metzler: entry "
+                         f"({i + 1}, {j + 1}) = {E[i, j]:.6g} < 0")
     return E
 
 
-def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
+def _nonnegative(v: np.ndarray, where: str) -> np.ndarray:
+    """v itself, after checking every entry is finite and >= 0; the first bad one is named."""
+    bad = np.flatnonzero(~(np.isfinite(v) & (v >= 0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{where}: entry {k + 1} = {v[k]:.6g} "
+                         f"{'< 0' if np.isfinite(v[k]) else 'is not finite'}")
+    return v
+
+
+def _anchor_norms(dim, segs, grid, anchor_idx, substeps):
     """||U(t, grid[a]) 1||_inf at every grid time t, one column per anchor a.
 
     Column k of one (dim, K) block is set to 1 at its anchor and propagated
@@ -386,6 +382,7 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
     rounding of the times themselves (4 ulp of the largest |t|) are stepped
     as one length, so a uniform grid needs one RK4 map per segment.
     """
+    starts = [seg.a for seg in segs]
     cuts = [a for a in starts if grid[0] < a < grid[-1]]
     timeline = np.union1d(grid, cuts)
     anchor_tl = np.searchsorted(timeline, grid[anchor_idx])
@@ -394,21 +391,21 @@ def _anchor_norms(dim, segs, starts, grid, anchor_idx, substeps):
     V = np.zeros((dim, len(anchor_idx)))
     for s, run in _segment_runs(starts, timeline[:-1]):
         pos, end = run.start, run.stop
-        _, _, E_rows, _, is_const = segs[s]
+        seg = segs[s]
         tseg = timeline[pos:end + 1]
         lengths = np.diff(tseg)
         first = (anchor_tl - pos) * substeps  # the step before which each column starts
-        if is_const:
+        if seg.const:
             for q in range(1, lengths.size):
                 close = np.abs(lengths[:q] - lengths[q]) <= same
                 if close.any():
                     lengths[q] = lengths[np.argmax(close)]
-            E = next(E_rows(tseg[:1]))
+            E = next(seg.E_rows(tseg[:1]))
             out, V = kern.rk4_const_principal(E, np.repeat(lengths / substeps, substeps), V, first)
         else:
             ts = (tseg[:-1, None] + (lengths / substeps)[:, None] * np.arange(substeps)).ravel()
             ts = np.append(ts, tseg[-1])
-            out, V = kern.rk4_sampled_principal(E_rows(kern.stage_times(ts)), ts, V, first)
+            out, V = kern.rk4_sampled_principal(seg.E_rows(kern.stage_times(ts)), ts, V, first)
         norms_tl[pos:end + 1] = out[::substeps]
     return norms_tl[np.searchsorted(timeline, grid)]
 

@@ -34,10 +34,9 @@ class SolverConfig:
                  atol: float = 1e-9, record_stride: int = 1):
         if method not in ("rk4", "rk45"):
             raise ValueError("method must be 'rk4' or 'rk45'")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if rtol <= 0 or atol <= 0:
-            raise ValueError("rtol and atol must be positive")
+        for name, v in (("dt", dt), ("rtol", rtol), ("atol", atol)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
         if record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
         self.method = method
@@ -277,8 +276,11 @@ def integrate(system: NetworkSystem, t0: float, x0, t_end: float, cfg: SolverCon
 
     x0 is the (n, m) stack of initial node states (a flat vector of length
     n*m is also accepted).  The solver grid contains every schedule
-    breakpoint in [t0, t_end].
+    breakpoint in [t0, t_end]; t0 and t_end must be finite.
     """
+    for name, v in (("t0", t0), ("t_end", t_end)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     n, m = system.n_nodes, system.state_dim

@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -460,6 +461,79 @@ def test_constant_segment_overflowing_diagonal_is_named():
         ts.dominance_decay_check(cs, np.linspace(0.0, 1.0, 11))
 
 
+def test_comparison_solve_rejects_nonfinite_start():
+    cs = ComparisonSystem(3, lambda t: -np.eye(3), lambda t: np.zeros(3), piecewise_constant=True)
+    for bad, msg in ((np.nan, "nan is not finite"), (np.inf, "inf is not finite"),
+                     (-1.0, "-1 < 0")):
+        with pytest.raises(ValueError, match=rf"initial comparison state: entry 2 = {msg}"):
+            ts.comparison_solve(cs, 0.0, np.array([1.0, bad, bad]), 1.0)
+
+
+def test_hand_built_inputs_are_checked():
+    # a negative b drove component 1 below zero, and clipping returned
+    # u(1) = (0, 0.368), which no longer dominates; a NaN b gave all NaN
+    for const in (True, False):
+        for b, msg in (([-5.0, 0.0], "entry 1 = -5 < 0"), ([0.0, np.nan], "entry 2 = nan is not")):
+            cs = ComparisonSystem(2, lambda t: -np.eye(2), lambda t, b=b: b,
+                                  piecewise_constant=const)
+            with pytest.raises(ValueError, match=rf"beta\(t\) at t=0: {msg}"):
+                ts.comparison_solve(cs, 0.0, np.ones(2), 1.0)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            ComparisonSystem(dim, lambda t: -np.eye(1), lambda t: np.zeros(1))
+    for cuts in ([np.nan], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            ComparisonSystem(1, lambda t: -np.eye(1), lambda t: np.zeros(1), breakpoints=cuts)
+
+
+def test_record_margins_match_row_sums_of_full_e():
+    # a network-built record takes its margins -(2 delta + D) from the pair
+    # sums instead of summing the rows of E; on 200 seeded signed switching
+    # networks (half with a functional piece, half with time-varying alpha)
+    # both agree within the tie band 8 N eps (|2 delta| + D) of each row,
+    # the row's sum of |E| entries, and the decay check's gamma_bar is the
+    # least record margin (checked on every tenth network, as propagation
+    # dominates the cost)
+    from tempsync import model
+    rng = np.random.default_rng(8)
+    grid = np.linspace(0.0, 2.0, 201)
+    exact = 0
+    for trial in range(200):
+        n = int(rng.integers(3, 9))
+        breaks = np.sort(rng.uniform(0.0, 2.0, int(rng.integers(1, 6))))
+        breaks[0] = 0.0
+        pieces = []
+        for _ in breaks:
+            A = rng.uniform(0.2, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+            pieces.append(A * np.where(rng.random((n, n)) < 0.2, -1.0, 1.0))
+        if trial % 2:
+            M, w = pieces[-1], rng.uniform(1.0, 4.0)
+            pieces[-1] = lambda t, M=M, w=w: M * (1.0 + 0.3 * np.sin(w * t))
+        system = ts.NetworkSystem([ts.zero_dynamics(1)] * n, ts.AdjacencySchedule(n, breaks, pieces),
+                                  global_coupling=rng.uniform(0.5, 2.0))
+        level = rng.uniform(-30.0, 0.0)
+        bounds = (ts.pair_bounds_for_identical_nodes(n, lambda t, r: level + np.cos(3.0 * t), 1.0)
+                  if trial % 4 >= 2 else ts.pair_bounds_for_identical_nodes(n, level, 1.0))
+        cs = ComparisonSystem.from_network(system, bounds)
+        segs = cs._segments(grid[0], np.nextafter(grid[-1], np.inf))
+        runs = model._segment_runs([seg.a for seg in segs], grid)
+        got = np.concatenate([segs[s].margins(grid[run]) for s, run in runs])
+        want, scale = [], []
+        for s, run in runs:
+            # E is fixed on a constant record, so one full build stands for its run
+            for t in grid[run][:1] if segs[s].const else grid[run]:
+                E = ts.evaluate_comparison(system, bounds, t)[0]
+                k = run.stop - run.start if segs[s].const else 1
+                want += [-E.sum(axis=1)] * k
+                scale += [np.abs(E).sum(axis=1)] * k
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 8.0 * n * np.finfo(float).eps * np.array(scale))
+        exact += np.array_equal(got, want)
+        if trial % 10 == 0:
+            assert ts.dominance_decay_check(cs, grid).gamma_bar == got.min()
+    assert 0 < exact < 200  # the two sums round differently on some instances
+
+
 def test_decay_check_rejects_non_metzler_e():
     E = np.array([[-2.0, 0.3], [-0.1, -2.0]])  # negative off-diagonal entry
     cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)
@@ -509,7 +583,7 @@ def _principal_norms_reference(cs, grid, anchor_idx, substeps=4):
     stage-form RK4 for one anchor s at a time on the grid merged with the
     segment boundaries, E sampled at every stage."""
     segs = cs._segments(grid[0], grid[-1] + 1e-12)
-    starts = [a for a, *_ in segs]
+    starts = [seg.a for seg in segs]
     out = []
     for ai in anchor_idx:
         cuts = [a for a in starts if grid[ai] < a < grid[-1]]
@@ -517,7 +591,7 @@ def _principal_norms_reference(cs, grid, anchor_idx, substeps=4):
         U = np.eye(cs.dim)
         norms = [1.0]
         for t0, t1 in zip(timeline[:-1], timeline[1:]):
-            E_rows = segs[int(np.searchsorted(starts, t0, side="right")) - 1][2]
+            E_rows = segs[int(np.searchsorted(starts, t0, side="right")) - 1].E_rows
             h = (t1 - t0) / substeps
             for r in range(substeps):
                 t = t0 + r * h
@@ -542,9 +616,8 @@ def test_decay_check_block_norms_match_principal_matrix(n, time_varying):
         chk = ts.dominance_decay_check(cs, grid)
         assert chk.gamma_bar > 0
         anchor_idx = np.searchsorted(grid, chk.anchors)
-        segs = cs._segments(grid[0], grid[-1] + 1e-12)
-        starts = np.array([a for a, *_ in segs])
-        block = _anchor_norms(cs.dim, segs, starts, grid, anchor_idx, 4)
+        block = _anchor_norms(cs.dim, cs._segments(grid[0], grid[-1] + 1e-12), grid,
+                              anchor_idx, 4)
         ref = _principal_norms_reference(cs, grid, anchor_idx)
         ratio = 0.0
         for k, ai in enumerate(anchor_idx):
@@ -558,9 +631,9 @@ def test_decay_check_block_norms_match_principal_matrix(n, time_varying):
 
 def test_constant_segments_build_e_once_per_pass_with_time_varying_bounds(monkeypatch):
     # per-pair callable bounds on a 3-segment constant schedule: a solve
-    # assembles E once per segment, a decay check once per segment in each of
-    # its two passes (margins, then propagation), and every sampled E still
-    # equals the full build at its time bit for bit
+    # assembles E once per segment, and so does a decay check, whose margins
+    # come from the pair sums, so E is built for propagation only; every
+    # sampled E still equals the full build at its time bit for bit
     from tempsync import model
     rng = np.random.default_rng(17)
     n = 4
@@ -572,32 +645,31 @@ def test_constant_segments_build_e_once_per_pass_with_time_varying_bounds(monkey
                              lambda i, j, t: 0.1 * (1.0 + math.cos(t)))
     cs = ComparisonSystem.from_network(system, bounds)
     samples, assembled = [], []
-    original_segments = ComparisonSystem._segments
+    original_segments = cs._segments
 
-    def recording_segments(self, t0, t1):
-        pieces = system.schedule.segments_between(t0, t1)
-        out = []
-        for (a, b, E_rows, b_rows, is_const), (_, _, piece) in zip(
-                original_segments(self, t0, t1), pieces):
-            def E_rec(times, E_rows=E_rows, A=piece.matrix):
+    def recording_segments(t0, t1):
+        segs = original_segments(t0, t1)
+        for seg, (_, _, piece) in zip(segs, system.schedule.segments_between(t0, t1)):
+            def E_rec(times, E_rows=seg.E_rows, A=piece.matrix):
                 for t, E in zip(times, E_rows(times)):
                     samples.append((t, A, E.copy()))
                     yield E
-            out.append((a, b, E_rec, b_rows, is_const))
-        return out
+            seg.E_rows = E_rec
+        return segs
 
     original_assemble = ts._kernels.assemble_comparison
-    monkeypatch.setattr(ComparisonSystem, "_segments", recording_segments)
+    monkeypatch.setattr(cs, "_segments", recording_segments)
     monkeypatch.setattr(ts._kernels, "assemble_comparison",
                         lambda *args: assembled.append(1) or original_assemble(*args))
     ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 3.0, ts.SolverConfig(dt=0.05))
     assert len(assembled) == len(segs)
     del assembled[:]
     chk = ts.dominance_decay_check(cs, np.linspace(0.0, 3.0, 31))
-    assert len(assembled) == 2 * len(segs)
+    assert len(assembled) == len(segs)
     assert chk.gamma_bar > 0 and len(samples) > 100
     for t, A, E in samples:
-        assert E.tobytes() == certificates._comparison(1.5 * A, bounds.alpha(t))[0].tobytes()
+        delta, _ = ts._kernels.delta_gamma(1.5 * A, bounds.alpha(t))
+        assert E.tobytes() == original_assemble(1.5 * A, delta).tobytes()
 
 
 @pytest.mark.parametrize("kwargs", [{"max_anchors": 0}, {"max_anchors": -1},
@@ -645,8 +717,9 @@ def _tv_instance(kind, seed, n=5):
 
 
 def _per_time_reference(monkeypatch):
-    """Read the bounds with one scalar read per time and build every sampled
-    E in full from A(t) and alpha(t), as the per-time code did."""
+    """Read the bounds with one scalar read per time, build every sampled E
+    in full from A(t) and alpha(t), as the per-time code did, and take the
+    margins -(2 delta + D) from one pair_sums call per time."""
     for name in ("alpha", "beta"):
         def read(self, t, subset=None, scalar=getattr(ts.PairBoundSet, name)):
             cols = slice(None) if subset is None else subset
@@ -655,17 +728,32 @@ def _per_time_reference(monkeypatch):
             return np.array([scalar(self, s)[cols] for s in t]).reshape(len(t), -1)
         monkeypatch.setattr(ts.PairBoundSet, name, read)
 
-    def segments(self, t0, t1):
-        c, bounds = self._system.global_coupling, self._bounds
-        out = []
-        for a, b, piece in self._system.schedule.segments_between(t0, t1):
-            def E_rows(times, piece=piece):
-                for t in times:
-                    A = c * np.asarray(piece(t), float)
-                    yield certificates._metzler(certificates._comparison(A, bounds.alpha(t))[0], t)
-            out.append((a, b, E_rows, lambda times: (2.0 * bounds.beta(t) for t in times), False))
-        return out
-    monkeypatch.setattr(ComparisonSystem, "_segments", segments)
+    def from_network(cls, system, bounds):
+        c, n = system.global_coupling, system.n_nodes
+        iu, ju, _ = pair_arrays(n)
+
+        def E_rows(times, piece):
+            for t in times:
+                A = c * np.asarray(piece(t), float)
+                delta, _ = ts._kernels.delta_gamma(A, bounds.alpha(t))
+                yield certificates._metzler(ts._kernels.assemble_comparison(A, delta), t)
+
+        def margins(times, piece):
+            rows = []
+            for t in times:
+                S, D = pair_sums(c * np.asarray(piece(t), float), iu, ju, np.arange(n))
+                rows.append(-(2.0 * (bounds.alpha(t) - S) + D))
+            return np.array(rows)
+
+        cs = original(system, bounds)
+        cs._segments = lambda t0, t1: [types.SimpleNamespace(
+            a=a, b=b, const=False, E_rows=lambda times, p=piece: E_rows(times, p),
+            b_rows=lambda times: (2.0 * bounds.beta(t) for t in times),
+            margins=lambda times, p=piece: margins(times, p))
+            for a, b, piece in system.schedule.segments_between(t0, t1)]
+        return cs
+    original = ComparisonSystem.from_network
+    monkeypatch.setattr(ComparisonSystem, "from_network", classmethod(from_network))
 
 
 @pytest.mark.parametrize("kind", ["constant", "functional", "periodic"])

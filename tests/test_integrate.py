@@ -277,6 +277,19 @@ def test_solver_config_validation():
         ts.SolverConfig(record_stride=0)
     with pytest.raises(ValueError):
         ts.integrate(_consensus_pair(), 1.0, np.zeros((2, 1)), 1.0, ts.SolverConfig())
+    # NaN passed the old "<= 0" tests: rk45 with a NaN dt, rtol or atol never
+    # returned, and rk4 with a NaN dt raised numpy's NaN-to-integer error
+    for name in ("dt", "rtol", "atol"):
+        for bad in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                ts.SolverConfig(method="rk45", **{name: bad})
+    # t_end = inf used to return a one-sample trajectory at t0 under rk45
+    for method in ("rk4", "rk45"):
+        for t0, t_end, name in ((0.0, math.inf, "t_end"), (0.0, math.nan, "t_end"),
+                                (math.nan, 1.0, "t0"), (-math.inf, 1.0, "t0")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ts.integrate(_consensus_pair(), t0, np.zeros((2, 1)), t_end,
+                             ts.SolverConfig(method=method))
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
