@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import SolverConfig, _write_json, integrate
+from .integrate import SolverConfig, _Recorder, _write_json, integrate
 from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _chunks, _finite,
                     _grid, _segment_runs)
 
@@ -269,29 +269,25 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
     """
     cfg = cfg or SolverConfig()
     u0 = _nonnegative(np.asarray(xi0, dtype=float).reshape(cs.dim), "initial comparison state")
-    # recording mirrors the trajectory integrator: every record_stride-th step
-    # plus every segment end, which the next segment starts from
-    times, rows, count = [t0], [u0], 0
+    # recorded as the trajectory integrator records: every record_stride-th
+    # step plus every segment end, which the next segment starts from
+    rec = _Recorder(cfg.record_stride, t0, u0)
     for seg in cs._segments(t0, t_end):
         a, b = seg.a, seg.b
         n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
         h = (b - a) / n_steps
         if seg.const:
-            out = kern.rk4_const_linear(next(seg.E_rows([a])), next(seg.b_rows([a])), rows[-1],
-                                        h, n_steps)
+            out = kern.rk4_const_linear(next(seg.E_rows([a])), next(seg.b_rows([a])),
+                                        rec.states[-1], h, n_steps)
         else:
             ts = a + h * np.arange(n_steps + 1)
             ts[-1] = b
             stages = kern.stage_times(ts)
-            out = kern.rk4_sampled_linear(seg.E_rows(stages), seg.b_rows(stages), ts, rows[-1])
+            out = kern.rk4_sampled_linear(seg.E_rows(stages), seg.b_rows(stages), ts,
+                                          rec.states[-1])
         for s in range(1, n_steps + 1):
-            count += 1
-            if count % cfg.record_stride == 0 or s == n_steps:
-                t = b if s == n_steps else a + s * h
-                if t > times[-1]:
-                    times.append(t)
-                    rows.append(out[s])
-    return ComparisonTrajectory(np.asarray(times), np.maximum(np.asarray(rows), 0.0))
+            rec.step_done(b if s == n_steps else a + s * h, out[s], force=s == n_steps)
+    return ComparisonTrajectory(np.asarray(rec.times), np.maximum(np.asarray(rec.states), 0.0))
 
 
 class DecayCheck:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -57,13 +58,22 @@ def _require(cfg: dict, key: str, kind=None):
 
 
 def _load_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    return cfg
+
+
+def _list_of(cfg: dict, key: str, kind) -> list:
+    """cfg[key] as a list of kind, or CliError naming the field."""
+    try:
+        return [kind(v) for v in _require(cfg, key, list)]
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"config field '{key}' is invalid: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +151,23 @@ def _initial_state(cfg, n, m, seed):
     return arr
 
 
-def _solver_config(cfg, args):
-    dt = args.dt if args.dt is not None else float(cfg.get("dt", 1e-3))
-    return SolverConfig(
-        method=str(cfg.get("method", "rk4")),
-        dt=dt,
-        rtol=float(cfg.get("rtol", 1e-6)),
-        atol=float(cfg.get("atol", 1e-9)),
-        record_stride=int(cfg.get("record_stride", 10)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg, args, out):
-    if args.c is not None and "network" in cfg:
-        cfg["network"]["global_coupling"] = args.c
     system = _build_network(_require(cfg, "network", dict), args.seed)
     t0 = float(cfg.get("t0", 0.0))
-    t_end = args.t_end if args.t_end is not None else float(_require(cfg, "t_end"))
+    t_end = float(_require(cfg, "t_end"))
     x0 = _initial_state(cfg, system.n_nodes, system.state_dim, args.seed)
-    traj = integrate(system, t0, x0, t_end, _solver_config(cfg, args))
+    solver = SolverConfig(
+        method=str(cfg.get("method", "rk4")),
+        dt=float(cfg.get("dt", 1e-3)),
+        rtol=float(cfg.get("rtol", 1e-6)),
+        atol=float(cfg.get("atol", 1e-9)),
+        record_stride=int(cfg.get("record_stride", 10)),
+    )
+    traj = integrate(system, t0, x0, t_end, solver)
     err = pairwise_errors(traj)
     traj.to_csv(os.path.join(out, "trajectory.csv"))
     err.to_csv(os.path.join(out, "errors.csv"))
@@ -183,13 +187,11 @@ def _cmd_simulate(cfg, args, out):
 
 
 def _certify_common(cfg, args, out, cluster=None):
-    if args.c is not None and "network" in cfg:
-        cfg["network"]["global_coupling"] = args.c
     system = _build_network(_require(cfg, "network", dict), args.seed)
     bounds = _build_bounds(_require(cfg, "bounds", dict), system.n_nodes)
-    horizon = args.t_end if args.t_end is not None else float(_require(cfg, "horizon"))
-    epsilon = args.epsilon if args.epsilon is not None else float(cfg.get("epsilon", 1e-3))
-    bound_m = args.bound_M if args.bound_M is not None else float(cfg.get("bound_M", 1.0))
+    horizon = float(_require(cfg, "horizon"))
+    epsilon = float(cfg.get("epsilon", 1e-3))
+    bound_m = float(cfg.get("bound_M", 1.0))
     kwargs = dict(
         t0=float(cfg.get("t0", 0.0)),
         grid_step=float(cfg.get("grid_step", 1e-2)),
@@ -217,10 +219,9 @@ def _certify_common(cfg, args, out, cluster=None):
 
 
 def _cmd_cluster_certify(cfg, args, out):
-    raw = _require(cfg, "cluster", list)
     try:
-        cluster = ClusterSpec([int(i) - 1 for i in raw])  # 1-based in configs
-    except (TypeError, ValueError) as exc:
+        cluster = ClusterSpec([i - 1 for i in _list_of(cfg, "cluster", int)])  # 1-based in configs
+    except ValueError as exc:
         raise CliError(f"config field 'cluster' is invalid: {exc}") from exc
     return _certify_common(cfg, args, out, cluster=cluster)
 
@@ -229,23 +230,12 @@ def _cmd_threshold(cfg, args, out):
     A = np.asarray(_require(cfg, "A", list), dtype=float)
     l_rho = float(_require(cfg, "l_rho"))
     try:
-        c_bar = static_threshold(A, l_rho)
+        doc = {"command": "threshold", "feasible": True, "c_bar": static_threshold(A, l_rho)}
     except InfeasibleTopologyError as exc:
-        _write_json(
-            os.path.join(out, "report.json"),
-            {
-                "command": "threshold",
-                "feasible": False,
-                "pair": list(exc.pair),
-                "hypothesis_value": exc.value,
-            },
-        )
-        return 2
-    _write_json(
-        os.path.join(out, "report.json"),
-        {"command": "threshold", "feasible": True, "c_bar": c_bar},
-    )
-    return 0
+        doc = {"command": "threshold", "feasible": False, "pair": list(exc.pair),
+               "hypothesis_value": exc.value}
+    _write_json(os.path.join(out, "report.json"), doc)
+    return 0 if doc["feasible"] else 2
 
 
 _SCENARIOS = {
@@ -256,28 +246,30 @@ _SCENARIOS = {
 }
 
 
+def _workers(args) -> int:
+    """--workers, else SYNC_TOOLKIT_WORKERS, else 1; an integer >= 1."""
+    source, raw = "--workers", args.workers
+    if raw is None:
+        source, raw = "SYNC_TOOLKIT_WORKERS", os.environ.get("SYNC_TOOLKIT_WORKERS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise CliError(f"{source} must be an integer >= 1, got {raw}")
+    return int(raw)
+
+
 def _cmd_scenario(cfg, args, out):
     name = args.name
-    if name not in _SCENARIOS:
-        raise CliError(
-            f"unknown scenario '{name}'; choose from {sorted(_SCENARIOS)}"
-        )
     fn = _SCENARIOS[name]
+    workers = _workers(args)
     params = dict(cfg)
-    params.pop("seeds", None)
-    if args.t_end is not None:
-        params["horizon"] = args.t_end
-    if args.c is not None and name in ("vdp", "lorenz-star"):
-        params["c"] = args.c
-    if args.dt is not None and name != "lorenz-star":
-        params["dt"] = args.dt
-    seeds = cfg.get("seeds")
+    seeds = params.pop("seeds", None)
+    seeds = [] if seeds is None else _list_of(cfg, "seeds", int)
+    accepted = inspect.signature(fn).parameters
+    for key in params:
+        if key not in accepted:
+            raise CliError(f"config field '{key}' is not a parameter of scenario '{name}'")
     if seeds:
-        jobs = [
-            dict(params, seed=int(s), out_dir=os.path.join(out, f"seed_{int(s)}"))
-            for s in seeds
-        ]
-        reports = scenarios.run_jobs(fn, jobs, workers=args.workers)
+        jobs = [dict(params, seed=s, out_dir=os.path.join(out, f"seed_{s}")) for s in seeds]
+        reports = scenarios.run_jobs(fn, jobs, workers=workers)
     else:
         params.setdefault("seed", args.seed)
         params["out_dir"] = out
@@ -301,7 +293,7 @@ def _cmd_pullback_check(cfg, args, out):
     def rhs(t, x):
         return a * x + (b_sin * math.sin(t) + b_const)
 
-    times = [float(t) for t in _require(cfg, "times", list)]
+    times = _list_of(cfg, "times", float)
     s_max = float(cfg.get("s_max", 64.0))
     tol = float(cfg.get("tol", 1e-8))
     results = []
@@ -334,6 +326,19 @@ _COMMANDS = {
     "pullback-check": _cmd_pullback_check,
 }
 
+# The float options of each command besides --config, --out, --seed and --workers,
+# each stored under the config key it overrides (dotted: a field of an object).
+_CERTIFY_FLAGS = {"--t-end": "horizon", "--c": "network.global_coupling",
+                  "--epsilon": "epsilon", "--bound-M": "bound_M"}
+_FLAGS = {
+    "simulate": {"--t-end": "t_end", "--dt": "dt", "--c": "network.global_coupling"},
+    "certify": _CERTIFY_FLAGS,
+    "cluster-certify": _CERTIFY_FLAGS,
+    "threshold": {},
+    "scenario": {"--t-end": "horizon", "--dt": "dt", "--c": "c"},
+    "pullback-check": {},
+}
+
 
 @functools.cache
 def _build_parser() -> _Parser:
@@ -341,18 +346,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tempsync", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # threshold --c is not --config
         if name == "scenario":
-            p.add_argument("name", help="vdp | ring | fhn | lorenz-star")
+            p.add_argument("name", choices=_SCENARIOS)
+            p.add_argument("--workers", default=None)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--bound-M", dest="bound_M", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag, key in _FLAGS[name].items():
+            p.add_argument(flag, dest=key, type=float, default=None)
     return parser
 
 
@@ -361,9 +363,14 @@ def dispatch(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.seed < 0:
             raise CliError("--seed must be a nonnegative integer")
-        if args.workers is None:
-            args.workers = int(os.environ.get("SYNC_TOOLKIT_WORKERS", "1") or "1")
         cfg = _load_config(args.config)
+        # each given flag overrides its config key; if the key's parent object
+        # is missing, the flag is dropped and the command reports the parent
+        for key in _FLAGS[args.command].values():
+            parent, _, leaf = key.rpartition(".")
+            node = cfg.get(parent) if parent else cfg
+            if getattr(args, key) is not None and isinstance(node, dict):
+                node[leaf] = getattr(args, key)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, args.out)
     except (CliError, IntegrationError, OSError, ValueError) as exc:

@@ -60,7 +60,10 @@ class RunReport:
         }
 
 
-def _emit(report: RunReport, out_dir, traj, err, certificate=None) -> RunReport:
+def _emit(report: RunReport, out_dir, traj, err, certificate=None,
+          keep_series=False) -> RunReport:
+    if keep_series:
+        report.series = err
     if out_dir is None:
         return report
     os.makedirs(out_dir, exist_ok=True)
@@ -178,9 +181,7 @@ def run_vdp(n_nodes=5, delta_t=50.0, c=1.0, seed=0, horizon=150.0, *,
          "eps0": eps0, "density": density, "dt": dt},
         metrics, passed=True,
     )
-    if return_series:
-        report.series = err
-    return _emit(report, out_dir, traj, err)
+    return _emit(report, out_dir, traj, err, keep_series=return_series)
 
 
 def run_vdp_sweep(c_values, n_nodes=5, delta_t=50.0, seed=0, horizon=150.0,
@@ -242,13 +243,13 @@ def build_contrarian_ring(n_nodes, a, a12, time_varying=False, rng=None) -> Netw
 
 
 def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
-                        horizon=60.0, *, dt=1e-3, out_dir=None, certify=None,
+                        horizon=60.0, *, dt=1e-3, out_dir=None,
                         return_series=False) -> RunReport:
     """Signed consensus on the contrarian ring.
 
     The consensus predicate is tail max pairwise |x_i - x_j| < 1e-6 over the
-    final quarter of the horizon.  With out_dir given (or certify=True) a
-    synchronization certificate for the ring is evaluated and exported.
+    final quarter of the horizon.  With out_dir given a synchronization
+    certificate for the ring is evaluated and exported.
     """
     rng = np.random.default_rng(seed)
     system = build_contrarian_ring(n_nodes, a, a12, time_varying=time_varying, rng=rng)
@@ -265,7 +266,7 @@ def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
         "consensus": consensus,
     }
     certificate = None
-    if certify or (certify is None and out_dir is not None):
+    if out_dir is not None:
         rho = 1.5 * float(np.abs(traj.states).max())
         bounds = pair_bounds_for_identical_nodes(n_nodes, 0.0, max(rho, 1e-6))
         certificate = check_full_sync(
@@ -279,9 +280,7 @@ def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
          "horizon": horizon, "dt": dt},
         metrics, passed=consensus,
     )
-    if return_series:
-        report.series = err
-    return _emit(report, out_dir, traj, err, certificate)
+    return _emit(report, out_dir, traj, err, certificate, keep_series=return_series)
 
 
 def ring_symbolic_certificate(a, a12, n_nodes) -> dict:
@@ -461,9 +460,7 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
          "horizon": horizon, "density": density, "dt": dt, "contrast": contrast},
         metrics, passed=passed,
     )
-    if return_series:
-        report.series = err
-    return _emit(report, out_dir, traj, err)
+    return _emit(report, out_dir, traj, err, keep_series=return_series)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +532,7 @@ def _lorenz_system(n_nodes, schedule, c, rng, heterogeneous):
 
 def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
                     perturb=None, seed=0, horizon=60.0, *, t_on=10.0,
-                    out_dir=None, cfg=None, return_series=False) -> RunReport:
+                    out_dir=None, return_series=False) -> RunReport:
     """Chaotic Lorenz nodes on a directed star, coupling switched on at t_on.
 
     perturb: None for static weights, "sin" for a +-10% sinusoidal weight
@@ -572,8 +569,7 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
         raise ValueError("perturb must be None, 'sin' or 'tanh'")
     system = _lorenz_system(n_nodes, schedule, c, rng, heterogeneous)
     x0 = rng.uniform(-1.0, 1.0, (n_nodes, 3))
-    cfg = cfg or SolverConfig(method="rk45", rtol=1e-6, atol=1e-9)
-    traj = integrate(system, 0.0, x0, horizon, cfg)
+    traj = integrate(system, 0.0, x0, horizon, SolverConfig(method="rk45", rtol=1e-6, atol=1e-9))
     err = pairwise_errors(traj)
     pre = err.times < t_on
     post = err.times >= t_on + 20.0
@@ -595,6 +591,4 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
          "heterogeneous": heterogeneous, "horizon": horizon, "t_on": t_on},
         metrics, passed=passed,
     )
-    if return_series:
-        report.series = err
-    return _emit(report, out_dir, traj, err, feas)
+    return _emit(report, out_dir, traj, err, feas, keep_series=return_series)

@@ -69,14 +69,14 @@ def test_criterion_01_ring_closed_form():
 def test_criterion_02_ring_behavioral_dichotomy():
     good = ts.run_ring_contrarian(
         10, a=0.5, a12=1.0, time_varying=True, seed=1, horizon=60.0,
-        certify=False, return_series=True,
+        return_series=True,
     )
     sync_err = good.series
     late = sync_err.times >= 40.0
     settled = float(np.sqrt(sync_err.xi[late].max()))
     bad = ts.run_ring_contrarian(
         10, a=0.5, a12=0.0, time_varying=True, seed=1, horizon=60.0,
-        certify=False, return_series=True,
+        return_series=True,
     )
     tail = bad.series.times >= 45.0
     diverged = float(np.sqrt(bad.series.xi[tail].max()))

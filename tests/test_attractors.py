@@ -199,3 +199,16 @@ def test_boundedness_witness_decay_and_export(tmp_path):
         "nodes": 2,
         "grid": {"t0": 0.0, "t1": 1.0, "step": pytest.approx(0.1)},
     }
+
+
+def test_full_sync_certificate_records_the_boundedness_witness():
+    system = _coupled_pair()
+    chk = ts.coupled_comparison_check(system, [-4.0, -4.0], np.linspace(0, 1, 11))
+    bounds = ts.pair_bounds_for_identical_nodes(2, 0.0, 1.0)
+    plain = ts.check_full_sync(system, bounds, 2.0, 1.0, 1e-3)
+    line = "boundedness witness: gamma=2.0, verdict=True, nodes=2"
+    for witness in (chk, chk.to_json_dict()):
+        cert = ts.check_full_sync(system, bounds, 2.0, 1.0, 1e-3, boundedness_witness=witness)
+        assert cert.assumptions == plain.assumptions + [line]
+        assert cert.to_json_dict()["assumptions"][-1] == line
+        assert cert.verdict.render() == plain.verdict.render()

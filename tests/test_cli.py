@@ -162,18 +162,135 @@ def test_parser_is_built_once_and_keeps_no_option_values(tmp_path, monkeypatch):
         monkeypatch.setitem(
             cli._COMMANDS, name, lambda cfg, args, out: seen.append(dict(vars(args))) or 0
         )
-    monkeypatch.delenv("SYNC_TOOLKIT_WORKERS", raising=False)
     cfg = _write(tmp_path / "empty.json", {})
     assert cli._build_parser() is cli._build_parser()
     first = ["scenario", "vdp", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5",
-             "--t-end", "2", "--dt", "0.1", "--c", "3", "--epsilon", "0.5", "--bound-M", "2",
-             "--workers", "2"]
+             "--t-end", "2", "--dt", "0.1", "--c", "3", "--workers", "2"]
     assert dispatch(first) == 0
     assert dispatch(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    # each option is stored under the config key it overrides
     assert seen[0] == dict(command="scenario", name="vdp", config=cfg, out=str(tmp_path / "a"),
-                           seed=5, t_end=2.0, dt=0.1, c=3.0, epsilon=0.5, bound_M=2.0, workers=2)
-    assert seen[1] == dict(command="simulate", config=cfg, out=str(tmp_path / "b"), seed=0,
-                           t_end=None, dt=None, c=None, epsilon=None, bound_M=None, workers=1)
+                           seed=5, horizon=2.0, dt=0.1, c=3.0, workers="2")
+    assert seen[1] == {"command": "simulate", "config": cfg, "out": str(tmp_path / "b"),
+                       "seed": 0, "t_end": None, "dt": None, "network.global_coupling": None}
+
+
+# (command, flag) -> the config key the flag overrides, None for a flag that
+# overrides no key; every pair not listed here must be rejected
+_ALL_FLAGS = ("--config", "--out", "--seed", "--t-end", "--dt", "--c", "--epsilon",
+              "--bound-M", "--workers")
+_COMMON = {"--config": None, "--out": None, "--seed": None}
+_CERTIFY = dict(_COMMON, **{"--t-end": "horizon", "--c": "network.global_coupling",
+                            "--epsilon": "epsilon", "--bound-M": "bound_M"})
+_FLAG_TABLE = {
+    "simulate": dict(_COMMON, **{"--t-end": "t_end", "--dt": "dt",
+                                 "--c": "network.global_coupling"}),
+    "certify": _CERTIFY,
+    "cluster-certify": _CERTIFY,
+    "scenario": dict(_COMMON, **{"--t-end": "horizon", "--dt": "dt", "--c": "c",
+                                 "--workers": None}),
+    "threshold": _COMMON,
+    "pullback-check": _COMMON,
+}
+
+
+def test_flag_table_has_33_pairs():
+    assert set(_FLAG_TABLE) == set(cli._COMMANDS)
+    assert sum(len(flags) for flags in _FLAG_TABLE.values()) == 33
+
+
+@pytest.mark.parametrize("flag", _ALL_FLAGS)
+@pytest.mark.parametrize("command", sorted(_FLAG_TABLE))
+def test_no_flag_is_silently_ignored(tmp_path, monkeypatch, capsys, command, flag):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        lambda cfg, args, out: seen.append((cfg, vars(args))) or 0)
+    doc = {"network": {"kind": "complete"}, "t_end": 1.0, "horizon": 1.0}
+    cfg, out = _write(tmp_path / "cfg.json", doc), str(tmp_path / "out")
+    argv = [command] + (["vdp"] if command == "scenario" else [])
+    argv += ["--config", cfg, "--out", out]
+    if flag not in ("--config", "--out"):
+        argv += [flag, "2"]
+    if flag not in _FLAG_TABLE[command]:
+        assert dispatch(argv) == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert seen == []
+        return
+    assert dispatch(argv) == 0
+    (got, args), = seen
+    key = _FLAG_TABLE[command][flag]
+    if key is None:
+        expected = {"--config": cfg, "--out": out, "--seed": 2, "--workers": "2"}[flag]
+        assert args[flag.lstrip("-")] == expected
+        assert got == doc
+        return
+    parent, _, leaf = key.rpartition(".")
+    assert (got[parent] if parent else got)[leaf] == 2.0
+    (doc[parent] if parent else doc)[leaf] = 2.0
+    assert got == doc  # nothing else changed
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_TABLE))
+def test_benchmark_argv_shape_parses_for_every_command(tmp_path, monkeypatch, command):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, args, out: seen.append(args) or 0)
+    cfg = _write(tmp_path / "cfg.json", {})
+    argv = command.split() + (["ring"] if command == "scenario" else [])
+    assert dispatch(argv + ["--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]) == 0
+    assert seen[0].seed == 7
+
+
+def test_flag_without_its_parent_object_reports_the_parent(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.json", {"t_end": 1.0})
+    assert dispatch(["simulate", "--config", cfg, "--out", str(tmp_path), "--c", "2"]) == 1
+    assert "config field 'network' is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key,name", [
+    (["scenario", "ring", "--c", "3"], "c", "ring"),
+    (["scenario", "fhn", "--c", "3"], "c", "fhn"),
+    (["scenario", "lorenz-star", "--dt", "0.5"], "dt", "lorenz-star"),
+    (["scenario", "vdp"], "epsilon", "vdp"),
+])
+def test_scenario_rejects_keys_its_runner_does_not_take(tmp_path, capsys, argv, key, name):
+    doc = {"epsilon": 0.1} if key == "epsilon" else {}
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert dispatch(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"config field '{key}' is not a parameter of scenario '{name}'" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_scenario_flag_sets_the_runner_parameter(tmp_path):
+    cfg = _write(tmp_path / "vdp.json",
+                 {"n_nodes": 3, "delta_t": 0.5, "horizon": 5.0, "dt": 0.01})
+    out = tmp_path / "out"
+    assert dispatch(["scenario", "vdp", "--config", cfg, "--out", str(out), "--c", "3",
+                     "--t-end", "1", "--dt", "0.02"]) == 0
+    params = json.loads((out / "report.json").read_text())["runs"][0]["parameters"]
+    assert (params["c"], params["horizon"], params["dt"]) == (3.0, 1.0, 0.02)
+
+
+@pytest.mark.parametrize("command", ["certify", "scenario vdp"])
+@pytest.mark.parametrize("doc", [None, [1, 2], "vdp", 3])
+def test_config_must_be_a_json_object(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert dispatch(command.split() + ["--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"config file {cfg} must hold a JSON object" in capsys.readouterr().err
+
+
+def test_pullback_times_of_the_wrong_type_name_the_field(tmp_path, capsys):
+    cfg = _write(tmp_path / "pb.json", {"linear": {"a": -1.0}, "times": [None]})
+    assert dispatch(["pullback-check", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "config field 'times' is invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds,message", [(5, "config field 'seeds' has the wrong type"),
+                                           ([0, None], "config field 'seeds' is invalid")])
+def test_scenario_seeds_of_the_wrong_type_name_the_field(tmp_path, capsys, seeds, message):
+    cfg = _write(tmp_path / "ring.json", {"seeds": seeds})
+    assert dispatch(["scenario", "ring", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -355,11 +472,38 @@ def test_pullback_check_matches_closed_form(tmp_path, a, b_sin, b_const, dim):
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("SYNC_TOOLKIT_WORKERS", "1")
-    cfg = _write(
-        tmp_path / "thr.json",
-        {"A": [[0, 1], [1, 0]], "l_rho": 1.0},
-    )
+    counts = []
+    monkeypatch.setattr(cli.scenarios, "run_jobs",
+                        lambda fn, jobs, workers: counts.append(workers) or [])
+    cfg = _write(tmp_path / "ring.json", {"seeds": [0, 1]})
+    argv = ["scenario", "ring", "--config", cfg, "--out", str(tmp_path)]
+    monkeypatch.setenv("SYNC_TOOLKIT_WORKERS", "3")
+    assert dispatch(argv) == 0
+    assert dispatch(argv + ["--workers", "2"]) == 0  # the flag wins
+    monkeypatch.setenv("SYNC_TOOLKIT_WORKERS", "")
+    assert dispatch(argv) == 0
+    assert counts == [3, 2, 1]
+
+
+@pytest.mark.parametrize("env,flag,message", [
+    ("two", None, "SYNC_TOOLKIT_WORKERS must be an integer >= 1, got two"),
+    ("0", None, "SYNC_TOOLKIT_WORKERS must be an integer >= 1, got 0"),
+    ("1", "-3", "--workers must be an integer >= 1, got -3"),
+    ("1", "two", "--workers must be an integer >= 1, got two"),
+    ("1", "0", "--workers must be an integer >= 1, got 0"),
+])
+def test_bad_worker_count_names_its_source(tmp_path, monkeypatch, capsys, env, flag, message):
+    monkeypatch.setenv("SYNC_TOOLKIT_WORKERS", env)
+    cfg = _write(tmp_path / "ring.json", {"seeds": [0, 1]})
+    argv = ["scenario", "ring", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert dispatch(argv + (["--workers", flag] if flag else [])) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_worker_variable_is_read_by_scenario_only(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYNC_TOOLKIT_WORKERS", "two")
+    cfg = _write(tmp_path / "thr.json", {"A": [[0, 1], [1, 0]], "l_rho": 1.0})
     assert dispatch(["threshold", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 

@@ -71,7 +71,7 @@ def test_contrarian_ring_time_varying_weights():
 def test_plain_positive_ring_reaches_consensus():
     # no contrarian, no compensation: classical consensus
     report = ts.run_ring_contrarian(
-        8, a=0.0, a12=0.0, seed=2, horizon=30.0, dt=2e-3, certify=False
+        8, a=0.0, a12=0.0, seed=2, horizon=30.0, dt=2e-3
     )
     assert report.metrics["tail_max_disagreement"] < 1e-6
     assert report.passed
