@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import IntegrationError, SolverConfig, _write_json, integrate
+from .integrate import IntegrationError, SolverConfig, _Record, _write_json, integrate
 from .model import NetworkSystem, NodeField, _grid, static_schedule
 
 
@@ -58,19 +58,9 @@ def dissipativity_from_onesided(l, f_at_zero_sq, gamma: float, eps: float):
     return alpha, beta, gamma - 2.0 * eps
 
 
-class DissipativityData:
-    """One-sided rate l with exponential envelope (K, gamma) and the derived
-    dissipativity pair."""
-
-    def __init__(self, l: Callable[[float], float], K: float, gamma: float,
-                 alpha: Callable[[float], float], beta_diss: Callable[[float], float],
-                 gamma_bar_diss: float):
-        self.l = l
-        self.K = K
-        self.gamma = gamma
-        self.alpha = alpha
-        self.beta_diss = beta_diss
-        self.gamma_bar_diss = gamma_bar_diss
+class DissipativityData(_Record):
+    """One-sided rate l(t) with exponential envelope (K, gamma) and the derived
+    dissipativity pair; fields l, K, gamma, alpha, beta_diss and gamma_bar_diss."""
 
     @classmethod
     def build(cls, l, f_at_zero_sq, K: float, gamma: float, eps: float) -> "DissipativityData":
@@ -79,7 +69,8 @@ class DissipativityData:
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         alpha, beta, gb = dissipativity_from_onesided(l, f_at_zero_sq, gamma, eps)
-        return cls(_as_time_fn(l), float(K), float(gamma), alpha, beta, gb)
+        return cls(l=_as_time_fn(l), K=float(K), gamma=float(gamma), alpha=alpha,
+                   beta_diss=beta, gamma_bar_diss=gb)
 
     def envelope_holds_on(self, grid) -> bool:
         """Check exp(int_s^t l) <= K exp(-gamma (t - s)) for grid pairs s <= t."""
@@ -113,12 +104,8 @@ def fit_sl2_envelope(l, grid, inflate: float = 1.01):
     return K, gamma, _envelope_holds(I + gamma * dt, K)
 
 
-class PullbackEstimate:
-    def __init__(self, state: np.ndarray, gap: float, depth: float, converged: bool):
-        self.state = state
-        self.gap = gap
-        self.depth = depth
-        self.converged = converged
+class PullbackEstimate(_Record):
+    """Fields: state, gap (between the last two depths), depth and converged."""
 
 
 def pullback_trajectory(rhs, t: float, s_max: float, x0, *,
@@ -156,13 +143,14 @@ def pullback_trajectory(rhs, t: float, s_max: float, x0, *,
             with np.errstate(over="ignore", invalid="ignore"):
                 est = integrate(system, t - s, x0, t, cfg).final_state()[0]
         except IntegrationError:
-            return PullbackEstimate(x0.copy() if prev is None else prev, math.inf, s, False)
+            return PullbackEstimate(state=x0.copy() if prev is None else prev, gap=math.inf,
+                                    depth=s, converged=False)
         if prev is not None:
             gap = float(np.max(np.abs(est - prev)))
             if gap < tol:
-                return PullbackEstimate(est, gap, s, True)
+                return PullbackEstimate(state=est, gap=gap, depth=s, converged=True)
         prev = est
-    return PullbackEstimate(prev, gap, depths[-1], False)
+    return PullbackEstimate(state=prev, gap=gap, depth=depths[-1], converged=False)
 
 
 def ultimate_bound(K: float, gamma_bar: float, mu: float) -> float:
@@ -176,16 +164,9 @@ def ultimate_bound(K: float, gamma_bar: float, mu: float) -> float:
     return K * mu / (1.0 - math.exp(-gamma_bar))
 
 
-class CoupledComparisonCheck:
-    """Row-dominance check of C(t) = diag(l_i(t)) + 2 [a_ik(t)]."""
-
-    def __init__(self, matrix: Callable[[float], np.ndarray], verdict: bool, gamma: float,
-                 n_nodes: int, grid: tuple[float, float, float]):
-        self.matrix = matrix
-        self.verdict = verdict
-        self.gamma = gamma
-        self.n_nodes = n_nodes
-        self.grid = grid
+class CoupledComparisonCheck(_Record):
+    """Row-dominance check of C(t) = diag(l_i(t)) + 2 [a_ik(t)]; fields matrix
+    (t -> C(t)), verdict, gamma, n_nodes and grid (t0, t1, step)."""
 
     def to_json_dict(self) -> dict:
         t0, t1, step = self.grid
@@ -244,5 +225,6 @@ def coupled_comparison_check(system: NetworkSystem, L: Sequence, grid) -> Couple
     verdict = sup_l < 0.0 and gamma > 0.0
     step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     return CoupledComparisonCheck(
-        matrix, verdict, gamma, n, (float(grid[0]), float(grid[-1]), step)
+        matrix=matrix, verdict=verdict, gamma=gamma, n_nodes=n,
+        grid=(float(grid[0]), float(grid[-1]), step),
     )

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import SolverConfig, _Recorder, _write_json, integrate
+from .integrate import SolverConfig, _Record, _Recorder, _write_json, integrate
 from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _chunks, _finite,
                     _grid, _segment_runs)
 
@@ -249,10 +248,8 @@ class ComparisonSystem:
         return cs
 
 
-class ComparisonTrajectory:
-    def __init__(self, times: np.ndarray, u: np.ndarray):
-        self.times = times
-        self.u = u
+class ComparisonTrajectory(_Record):
+    """Fields: times (T,) and u (T, dim), the recorded comparison solution."""
 
 
 def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
@@ -287,15 +284,12 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
                                           rec.states[-1])
         for s in range(1, n_steps + 1):
             rec.step_done(b if s == n_steps else a + s * h, out[s], force=s == n_steps)
-    return ComparisonTrajectory(np.asarray(rec.times), np.maximum(np.asarray(rec.states), 0.0))
+    return ComparisonTrajectory(times=np.asarray(rec.times),
+                                u=np.maximum(np.asarray(rec.states), 0.0))
 
 
-class DecayCheck:
-    def __init__(self, gamma_bar: float, verified: bool, max_ratio: float, anchors: list):
-        self.gamma_bar = gamma_bar
-        self.verified = verified
-        self.max_ratio = max_ratio
-        self.anchors = anchors
+class DecayCheck(_Record):
+    """Fields: gamma_bar, verified, max_ratio and anchors (the anchor times)."""
 
 
 def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
@@ -333,7 +327,7 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     gamma_bar = min(float(segs[s].margins(grid[run][:1] if segs[s].const else grid[run]).min())
                     for s, run in _segment_runs([seg.a for seg in segs], grid))
     if gamma_bar <= 0:
-        return DecayCheck(gamma_bar, False, np.inf, [])
+        return DecayCheck(gamma_bar=gamma_bar, verified=False, max_ratio=np.inf, anchors=[])
 
     anchor_idx = np.unique(np.linspace(0, len(grid) - 2, min(max_anchors, len(grid) - 1))
                            .astype(int))
@@ -341,8 +335,8 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     ratios = (float(np.max(norms[ai:, k] / np.exp(-gamma_bar * (grid[ai:] - grid[ai]))))
               for k, ai in enumerate(anchor_idx))
     max_ratio = max([0.0, *ratios])
-    return DecayCheck(gamma_bar, max_ratio <= 1.0 + tol, max_ratio,
-                      [float(grid[i]) for i in anchor_idx])
+    return DecayCheck(gamma_bar=gamma_bar, verified=max_ratio <= 1.0 + tol, max_ratio=max_ratio,
+                      anchors=[float(grid[i]) for i in anchor_idx])
 
 
 def _metzler(E: np.ndarray, t: float) -> np.ndarray:
@@ -410,19 +404,10 @@ def _anchor_norms(dim, segs, grid, anchor_idx, substeps):
 # certificates
 # ---------------------------------------------------------------------------
 
-class Verdict:
-    def __init__(self, status: str, condition: str | None = None,
-                 pair: tuple[int, int] | None = None, t: float | None = None):
-        self.status = status          # "holds" | "fails"
-        self.condition = condition    # "delta" | "gamma"
-        self.pair = pair              # 0-based node indices
-        self.t = t
-
-    def __eq__(self, other):
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return (self.status, self.condition, self.pair, self.t) == (
-            other.status, other.condition, other.pair, other.t)
+class Verdict(SimpleNamespace):
+    """Fields: status ("holds" | "fails"), condition ("delta" | "gamma"), pair
+    (0-based node indices) and t; the last three are None when it holds.
+    Verdicts compare equal field by field."""
 
     @property
     def holds(self) -> bool:
@@ -435,36 +420,18 @@ class Verdict:
         return f"fails({self.condition},({i + 1},{j + 1}),t={self.t:.6g})"
 
 
-class GridSpec:
-    def __init__(self, t0: float, t1: float, step: float):
-        self.t0 = t0
-        self.t1 = t1
-        self.step = step
+class GridSpec(_Record):
+    """Fields: t0, t1 and step of a verdict grid."""
 
     def to_dict(self) -> dict:
         return {"t0": self.t0, "t1": self.t1, "step": self.step}
 
 
-class SyncCertificate:
-    def __init__(self, n_nodes: int, grid: GridSpec, delta_min: np.ndarray,
-                 delta_max: np.ndarray, gamma_bar: float, mu1: float, rho: float,
-                 bound_M: float, epsilon: float, verdict: Verdict,
-                 asymptotic_bound: float | None, settle_time: float | None,
-                 assumptions: list[str] | None = None, mu2: float | None = None):
-        self.n_nodes = n_nodes
-        self.grid = grid
-        self.delta_min = delta_min
-        self.delta_max = delta_max
-        self.gamma_bar = gamma_bar
-        self.mu1 = mu1
-        self.rho = rho
-        self.bound_M = bound_M
-        self.epsilon = epsilon
-        self.verdict = verdict
-        self.asymptotic_bound = asymptotic_bound
-        self.settle_time = settle_time
-        self.assumptions = [] if assumptions is None else assumptions
-        self.mu2 = mu2
+class SyncCertificate(_Record):
+    """Fields: n_nodes, grid (a GridSpec), delta_min and delta_max (per pair),
+    gamma_bar, mu1, mu2 (None for the full network), rho, bound_M, epsilon,
+    verdict, asymptotic_bound and settle_time (None unless it holds) and
+    assumptions (a list of strings)."""
 
     def to_json_dict(self) -> dict:
         return {
@@ -491,12 +458,8 @@ class SyncCertificate:
 
 
 class ClusterCertificate(SyncCertificate):
-    def __init__(self, *args, cluster: ClusterSpec | None = None,
-                 gamma_bar_J: float = math.nan, combined_mu: float = math.nan, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cluster = cluster
-        self.gamma_bar_J = gamma_bar_J
-        self.combined_mu = combined_mu
+    """A SyncCertificate's fields plus cluster (a ClusterSpec), gamma_bar_J and
+    combined_mu (the heterogeneity level the verdict used)."""
 
     def to_json_dict(self) -> dict:
         doc = super().to_json_dict()
@@ -534,23 +497,19 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
         raise ValueError("epsilon must be positive")
     if horizon <= 0 or grid_step <= 0 or horizon < grid_step:
         raise ValueError("horizon and grid step must define a nonempty grid")
-    n_grid = int(round(horizon / grid_step))
-    times = t0 + grid_step * np.arange(n_grid + 1)
-    times[-1] = t0 + horizon
 
+    def pinned(step):  # t0, t0 + step, ... with the last time pinned to t0 + horizon
+        ts = t0 + step * np.arange(int(round(horizon / step)) + 1)
+        ts[-1] = t0 + horizon
+        return ts
+
+    times = pinned(grid_step)
     delta, gamma, (iu, ju) = _grid_delta_gamma(system, bounds, times, nodes)
 
-    mu_step = min(grid_step, 1e-2)
-    n_mu = int(round(horizon / mu_step))
-    mu_times = t0 + mu_step * np.arange(n_mu + 1)
+    mu_times = times if grid_step <= 1e-2 else pinned(1e-2)  # the mu1/mu2 window grid
     mu1 = compute_mu1(bounds, mu_times, pairs=np.column_stack([iu, ju]))
-
-    n_sub = len(nodes)
-    N = system.n_nodes
-    if cluster is not None and n_sub < N:
-        mu2 = compute_mu2(system, cluster, bounds.rho, mu_times)
-    else:
-        mu2 = 0.0 if cluster is not None else None
+    n_sub, N = len(nodes), system.n_nodes
+    mu2 = None if cluster is None else compute_mu2(system, cluster, bounds.rho, mu_times)
     combined = mu1 if mu2 is None else mu1 + mu2 * (N - n_sub) * math.sqrt(
         2.0 * n_sub * (n_sub - 1)
     )
@@ -561,16 +520,18 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
     threshold = -math.log1p(-combined / bound_M)
     gamma_bar = float(gamma.min())
 
-    verdict = Verdict("holds")
+    verdict = Verdict(status="holds", condition=None, pair=None, t=None)
     bad = np.argwhere(delta > -margin)  # row-major: (time, pair) lexicographic order
     if bad.size:
         k, p = bad[0]
-        verdict = Verdict("fails", "delta", (int(iu[p]), int(ju[p])), float(times[k]))
+        verdict = Verdict(status="fails", condition="delta", pair=(int(iu[p]), int(ju[p])),
+                          t=float(times[k]))
     elif gamma_bar < threshold + margin:
         # the tie band of check_full_sync's docstring; 4|delta| - gamma = 2|delta| + D
         band = 8.0 * N * np.finfo(float).eps * float(np.max(4.0 * np.abs(delta) - gamma))
         k, p = np.argwhere(gamma <= gamma_bar + band)[0]
-        verdict = Verdict("fails", "gamma", (int(iu[p]), int(ju[p])), float(times[k]))
+        verdict = Verdict(status="fails", condition="gamma", pair=(int(iu[p]), int(ju[p])),
+                          t=float(times[k]))
 
     if verdict.holds:
         asymptotic = epsilon + bound_M
@@ -590,7 +551,7 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
 
     common = dict(
         n_nodes=N,
-        grid=GridSpec(float(times[0]), float(times[-1]), float(grid_step)),
+        grid=GridSpec(t0=float(times[0]), t1=float(times[-1]), step=float(grid_step)),
         delta_min=delta.min(axis=0),
         delta_max=delta.max(axis=0),
         mu1=mu1,
@@ -670,11 +631,9 @@ def check_cluster_sync(system: NetworkSystem, bounds: PairBoundSet,
     )
 
 
-class RefinedBounds:
-    def __init__(self, asymptotic_bound: float, linf_bound: float | None, sharp_sync: bool):
-        self.asymptotic_bound = asymptotic_bound  # epsilon + bound_M / c
-        self.linf_bound = linf_bound              # epsilon + |beta|_inf / (c gamma_bar)
-        self.sharp_sync = sharp_sync
+class RefinedBounds(_Record):
+    """Fields: asymptotic_bound (epsilon + bound_M / c), linf_bound (epsilon +
+    |beta|_inf / (c gamma_bar), or None) and sharp_sync."""
 
 
 def refined_bounds(cert: SyncCertificate, c: float, beta_inf: float | None = None) -> RefinedBounds:
@@ -690,7 +649,8 @@ def refined_bounds(cert: SyncCertificate, c: float, beta_inf: float | None = Non
         raise ValueError("refined bounds require a certificate that holds")
     if c < 1:
         raise ValueError("the global-coupling refinement requires c >= 1")
-    out = RefinedBounds(cert.epsilon + cert.bound_M / c, None, False)
+    out = RefinedBounds(asymptotic_bound=cert.epsilon + cert.bound_M / c, linf_bound=None,
+                        sharp_sync=False)
     if beta_inf is not None:
         if beta_inf < 0:
             raise ValueError("beta_inf must be nonnegative")
@@ -699,10 +659,9 @@ def refined_bounds(cert: SyncCertificate, c: float, beta_inf: float | None = Non
     return out
 
 
-class PersistenceMargins:
-    def __init__(self, heterogeneity_bound: Callable[[float], float], adjacency_margin: float):
-        self.heterogeneity_bound = heterogeneity_bound
-        self.adjacency_margin = adjacency_margin
+class PersistenceMargins(_Record):
+    """Fields: heterogeneity_bound (node perturbation size -> error bound) and
+    adjacency_margin."""
 
 
 def persistence_margins(cert: SyncCertificate, rho: float, n_nodes: int) -> PersistenceMargins:
@@ -719,7 +678,7 @@ def persistence_margins(cert: SyncCertificate, rho: float, n_nodes: int) -> Pers
         raise ValueError("persistence margins require a sharp baseline (mu1 = 0)")
     gb = cert.gamma_bar
     factor = 4.0 * rho * math.sqrt(n_nodes * (n_nodes - 1) / 2.0) / gb
-    return PersistenceMargins(lambda d: factor * d, gb / 4.0)
+    return PersistenceMargins(heterogeneity_bound=lambda d: factor * d, adjacency_margin=gb / 4.0)
 
 
 def static_threshold(A_static, l_rho: float) -> float:

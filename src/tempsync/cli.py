@@ -48,13 +48,40 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _require(cfg: dict, key: str, kind=None):
+_MISSING = object()
+
+
+def _is(val, kind) -> bool:
+    """Whether a JSON value is of kind; a number (float) or int is never true/false."""
+    return isinstance(val, (int, float) if kind is float else kind) and (
+        kind is bool or not isinstance(val, bool))
+
+
+def _field(cfg: dict, key: str, kind, default=_MISSING):
+    """cfg[key] checked against kind, or default if the key is absent.
+
+    kind is float (any number, returned as a float), int, bool, str, dict,
+    list, [float] or [int] (a list of such values) or np.ndarray (a nested
+    list of numbers, returned as a float array).  A missing key without a
+    default or a value of another kind raises CliError naming the field.
+    """
     if key not in cfg:
-        raise CliError(f"config field '{key}' is missing")
+        if default is _MISSING:
+            raise CliError(f"config field '{key}' is missing")
+        return default
     val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
+    item = kind[0] if isinstance(kind, list) else float if kind is np.ndarray else None
+    if not _is(val, kind if item is None else list):
         raise CliError(f"config field '{key}' has the wrong type")
-    return val
+    if item is None:
+        return float(val) if kind is float else val
+    # a ragged entry of a nested list stays a list in the object array, which is no number
+    entries = np.array(val, dtype=object).ravel() if kind is np.ndarray else val
+    bad = [v for v in entries if not _is(v, item)]
+    if bad:
+        raise CliError(f"config field '{key}' is invalid: {bad[0]!r} is not "
+                       f"{'an integer' if item is int else 'a number'}")
+    return np.array(val, dtype=float) if kind is np.ndarray else [item(v) for v in val]
 
 
 def _load_config(path: str) -> dict:
@@ -68,27 +95,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _list_of(cfg: dict, key: str, kind) -> list:
-    """cfg[key] as a list of kind, or CliError naming the field."""
-    try:
-        return [kind(v) for v in _require(cfg, key, list)]
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"config field '{key}' is invalid: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # config -> objects
 # ---------------------------------------------------------------------------
 
 def _build_nodes(spec: dict, n: int) -> NodeField:
-    kind = _require(spec, "type", str)
-    state_dim = int(spec.get("state_dim", 1))
+    kind = _field(spec, "type", str)
+    state_dim = _field(spec, "state_dim", int, 1)
     if kind == "zero":
         return NodeField(state_dim, lambda t, X: np.zeros_like(X))
     if kind == "linear_decay":
-        rate = float(spec.get("rate", 1.0))
-        forcing = spec.get("forcing_sin")
-        d = np.zeros(n) if forcing is None else np.asarray(forcing, dtype=float)
+        rate = _field(spec, "rate", float, 1.0)
+        d = _field(spec, "forcing_sin", np.ndarray, np.zeros(n))
         if d.shape != (n,):
             raise CliError(f"config field 'forcing_sin' must list {n} amplitudes")
         return NodeField(state_dim, lambda t, X: -rate * X + (d * math.sin(t))[:, None])
@@ -96,56 +114,54 @@ def _build_nodes(spec: dict, n: int) -> NodeField:
 
 
 def _build_network(cfg: dict, seed: int) -> NetworkSystem:
-    kind = _require(cfg, "kind", str)
-    coupling = float(cfg.get("global_coupling", 1.0))
+    kind = _field(cfg, "kind", str)
+    coupling = _field(cfg, "global_coupling", float, 1.0)
     if kind == "ring-contrarian":
         system = scenarios.build_contrarian_ring(
-            int(_require(cfg, "n")),
-            float(_require(cfg, "a")),
-            float(_require(cfg, "a12")),
-            time_varying=bool(cfg.get("time_varying", False)),
+            _field(cfg, "n", int),
+            _field(cfg, "a", float),
+            _field(cfg, "a12", float),
+            time_varying=_field(cfg, "time_varying", bool, False),
             rng=np.random.default_rng(seed),
         )
         return NetworkSystem(system.field, system.schedule, coupling)
     if kind in ("complete", "star"):
-        n = int(_require(cfg, "n"))
+        n = _field(cfg, "n", int)
         if kind == "complete":
-            A = float(cfg.get("weight", 1.0)) * (np.ones((n, n)) - np.eye(n))
+            A = _field(cfg, "weight", float, 1.0) * (np.ones((n, n)) - np.eye(n))
         else:
-            A = scenarios.star_matrix(n, float(_require(cfg, "a")), float(_require(cfg, "b")))
-        field = _build_nodes(cfg.get("nodes", {"type": "zero"}), n)
+            A = scenarios.star_matrix(n, _field(cfg, "a", float), _field(cfg, "b", float))
+        field = _build_nodes(_field(cfg, "nodes", dict, {"type": "zero"}), n)
         return NetworkSystem(field, static_schedule(A), coupling)
     if kind == "explicit":
-        sched_doc = _require(cfg, "schedule", dict)
+        sched_doc = _field(cfg, "schedule", dict)
         try:
             schedule = AdjacencySchedule.from_json_dict(sched_doc)
         except (KeyError, ValueError) as exc:
             raise CliError(f"config field 'schedule' is invalid: {exc}") from exc
-        field = _build_nodes(_require(cfg, "nodes", dict), schedule.n_nodes)
+        field = _build_nodes(_field(cfg, "nodes", dict), schedule.n_nodes)
         return NetworkSystem(field, schedule, coupling)
     raise CliError(f"unknown network kind '{kind}'")
 
 
 def _build_bounds(cfg: dict, n: int) -> PairBoundSet:
-    kind = _require(cfg, "kind", str)
-    rho = float(_require(cfg, "rho"))
+    kind = _field(cfg, "kind", str)
+    rho = _field(cfg, "rho", float)
     if kind == "identical":
-        return pair_bounds_for_identical_nodes(n, float(_require(cfg, "l")), rho)
+        return pair_bounds_for_identical_nodes(n, _field(cfg, "l", float), rho)
     if kind == "constant":
         return PairBoundSet.constant(
-            n, float(_require(cfg, "alpha")), float(_require(cfg, "beta")), rho
+            n, _field(cfg, "alpha", float), _field(cfg, "beta", float), rho
         )
     raise CliError(f"unknown bounds kind '{kind}'")
 
 
 def _initial_state(cfg, n, m, seed):
-    x0 = cfg.get("x0")
-    if x0 is None:
-        x0 = {"random": 1.0}
+    x0 = cfg.get("x0", {})
     if isinstance(x0, dict):
-        scale = float(x0.get("random", 1.0))
+        scale = _field(x0, "random", float, 1.0)
         return np.random.default_rng(seed).uniform(-scale, scale, (n, m))
-    arr = np.asarray(x0, dtype=float)
+    arr = _field(cfg, "x0", np.ndarray)
     if arr.shape != (n, m):
         raise CliError(f"config field 'x0' must be a {n}x{m} array")
     return arr
@@ -156,16 +172,16 @@ def _initial_state(cfg, n, m, seed):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg, args, out):
-    system = _build_network(_require(cfg, "network", dict), args.seed)
-    t0 = float(cfg.get("t0", 0.0))
-    t_end = float(_require(cfg, "t_end"))
+    system = _build_network(_field(cfg, "network", dict), args.seed)
+    t0 = _field(cfg, "t0", float, 0.0)
+    t_end = _field(cfg, "t_end", float)
     x0 = _initial_state(cfg, system.n_nodes, system.state_dim, args.seed)
     solver = SolverConfig(
-        method=str(cfg.get("method", "rk4")),
-        dt=float(cfg.get("dt", 1e-3)),
-        rtol=float(cfg.get("rtol", 1e-6)),
-        atol=float(cfg.get("atol", 1e-9)),
-        record_stride=int(cfg.get("record_stride", 10)),
+        method=_field(cfg, "method", str, "rk4"),
+        dt=_field(cfg, "dt", float, 1e-3),
+        rtol=_field(cfg, "rtol", float, 1e-6),
+        atol=_field(cfg, "atol", float, 1e-9),
+        record_stride=_field(cfg, "record_stride", int, 10),
     )
     traj = integrate(system, t0, x0, t_end, solver)
     err = pairwise_errors(traj)
@@ -187,14 +203,14 @@ def _cmd_simulate(cfg, args, out):
 
 
 def _certify_common(cfg, args, out, cluster=None):
-    system = _build_network(_require(cfg, "network", dict), args.seed)
-    bounds = _build_bounds(_require(cfg, "bounds", dict), system.n_nodes)
-    horizon = float(_require(cfg, "horizon"))
-    epsilon = float(cfg.get("epsilon", 1e-3))
-    bound_m = float(cfg.get("bound_M", 1.0))
+    system = _build_network(_field(cfg, "network", dict), args.seed)
+    bounds = _build_bounds(_field(cfg, "bounds", dict), system.n_nodes)
+    horizon = _field(cfg, "horizon", float)
+    epsilon = _field(cfg, "epsilon", float, 1e-3)
+    bound_m = _field(cfg, "bound_M", float, 1.0)
     kwargs = dict(
-        t0=float(cfg.get("t0", 0.0)),
-        grid_step=float(cfg.get("grid_step", 1e-2)),
+        t0=_field(cfg, "t0", float, 0.0),
+        grid_step=_field(cfg, "grid_step", float, 1e-2),
     )
     try:
         if cluster is None:
@@ -220,15 +236,15 @@ def _certify_common(cfg, args, out, cluster=None):
 
 def _cmd_cluster_certify(cfg, args, out):
     try:
-        cluster = ClusterSpec([i - 1 for i in _list_of(cfg, "cluster", int)])  # 1-based in configs
+        cluster = ClusterSpec([i - 1 for i in _field(cfg, "cluster", [int])])  # 1-based in configs
     except ValueError as exc:
         raise CliError(f"config field 'cluster' is invalid: {exc}") from exc
     return _certify_common(cfg, args, out, cluster=cluster)
 
 
 def _cmd_threshold(cfg, args, out):
-    A = np.asarray(_require(cfg, "A", list), dtype=float)
-    l_rho = float(_require(cfg, "l_rho"))
+    A = _field(cfg, "A", np.ndarray)
+    l_rho = _field(cfg, "l_rho", float)
     try:
         doc = {"command": "threshold", "feasible": True, "c_bar": static_threshold(A, l_rho)}
     except InfeasibleTopologyError as exc:
@@ -261,12 +277,15 @@ def _cmd_scenario(cfg, args, out):
     fn = _SCENARIOS[name]
     workers = _workers(args)
     params = dict(cfg)
-    seeds = params.pop("seeds", None)
-    seeds = [] if seeds is None else _list_of(cfg, "seeds", int)
+    seeds = _field(params, "seeds", [int], [])
+    params.pop("seeds", None)
     accepted = inspect.signature(fn).parameters
     for key in params:
         if key not in accepted:
             raise CliError(f"config field '{key}' is not a parameter of scenario '{name}'")
+        default = accepted[key].default
+        if default is not None:  # checked only: a 30 for a float stays 30 in report.json
+            _field(params, key, type(default))
     if seeds:
         jobs = [dict(params, seed=s, out_dir=os.path.join(out, f"seed_{s}")) for s in seeds]
         reports = scenarios.run_jobs(fn, jobs, workers=workers)
@@ -284,18 +303,18 @@ def _cmd_scenario(cfg, args, out):
 
 
 def _cmd_pullback_check(cfg, args, out):
-    lin = _require(cfg, "linear", dict)
-    a = float(lin.get("a", -1.0))
-    b_sin = float(lin.get("sin", 0.0))
-    b_const = float(lin.get("const", 0.0))
-    dim = int(cfg.get("dim", 1))
+    lin = _field(cfg, "linear", dict)
+    a = _field(lin, "a", float, -1.0)
+    b_sin = _field(lin, "sin", float, 0.0)
+    b_const = _field(lin, "const", float, 0.0)
+    dim = _field(cfg, "dim", int, 1)
 
     def rhs(t, x):
         return a * x + (b_sin * math.sin(t) + b_const)
 
-    times = _list_of(cfg, "times", float)
-    s_max = float(cfg.get("s_max", 64.0))
-    tol = float(cfg.get("tol", 1e-8))
+    times = _field(cfg, "times", [float])
+    s_max = _field(cfg, "s_max", float, 64.0)
+    tol = _field(cfg, "tol", float, 1e-8)
     results = []
     all_ok = True
     for t in times:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,14 +79,16 @@ class Trajectory:
         _write_csv(path, header, self.times, flat)
 
 
-class ErrorSeries:
-    """Squared pairwise errors (lexicographic pairs) and the max-spread error."""
+class _Record(SimpleNamespace):
+    """A result record, built with one keyword per field; == and hash are by
+    identity (SimpleNamespace's != would compare the fields, raising on arrays)."""
 
-    def __init__(self, times: np.ndarray, xi: np.ndarray, e_hat: np.ndarray, n_nodes: int):
-        self.times = times
-        self.xi = xi
-        self.e_hat = e_hat
-        self.n_nodes = n_nodes
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
+class ErrorSeries(_Record):
+    """Squared pairwise errors and the max-spread error; fields times (T,),
+    xi (T, P) over lexicographic pairs, e_hat (T,) and n_nodes."""
 
     def to_csv(self, path) -> None:
         n = self.n_nodes
@@ -313,4 +316,4 @@ def pairwise_errors(traj: Trajectory) -> ErrorSeries:
         raise ValueError("trajectory is empty")
     xi = kern.xi_series(traj.states)
     eh = kern.e_hat_series(traj.states)
-    return ErrorSeries(traj.times.copy(), xi, eh, traj.n_nodes)
+    return ErrorSeries(times=traj.times.copy(), xi=xi, e_hat=eh, n_nodes=traj.n_nodes)

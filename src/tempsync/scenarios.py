@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .certificates import check_full_sync
-from .integrate import ErrorSeries, SolverConfig, _write_json, integrate, pairwise_errors
+from .integrate import SolverConfig, _Record, _write_json, integrate, pairwise_errors
 from .model import (
     AdjacencySchedule,
     NetworkSystem,
@@ -29,21 +29,12 @@ from .model import (
 )
 
 
-class RunReport:
-    def __init__(self, scenario: str, seed: int, parameters: dict, metrics: dict,
-                 passed: bool, trajectory_csv: str | None = None,
-                 errors_csv: str | None = None, certificate_json: str | None = None,
-                 report_json: str | None = None, series: ErrorSeries | None = None):
-        self.scenario = scenario
-        self.seed = seed
-        self.parameters = parameters
-        self.metrics = metrics
-        self.passed = passed
-        self.trajectory_csv = trajectory_csv
-        self.errors_csv = errors_csv
-        self.certificate_json = certificate_json
-        self.report_json = report_json
-        self.series = series
+class RunReport(_Record):
+    """One scenario run: scenario, seed, parameters, metrics and passed; the
+    written file names trajectory_csv, errors_csv, certificate_json and
+    report_json, and series (the ErrorSeries), stay None unless set."""
+
+    trajectory_csv = errors_csv = certificate_json = report_json = series = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,19 +58,14 @@ def _emit(report: RunReport, out_dir, traj, err, certificate=None,
     if out_dir is None:
         return report
     os.makedirs(out_dir, exist_ok=True)
-    tpath = os.path.join(out_dir, "trajectory.csv")
-    epath = os.path.join(out_dir, "errors.csv")
-    traj.to_csv(tpath)
-    err.to_csv(epath)
-    report.trajectory_csv = os.path.basename(tpath)
-    report.errors_csv = os.path.basename(epath)
+    report.trajectory_csv, report.errors_csv = "trajectory.csv", "errors.csv"
+    traj.to_csv(os.path.join(out_dir, report.trajectory_csv))
+    err.to_csv(os.path.join(out_dir, report.errors_csv))
     if certificate is not None:
-        cpath = os.path.join(out_dir, "certificate.json")
-        certificate.write_json(cpath)
-        report.certificate_json = os.path.basename(cpath)
-    rpath = os.path.join(out_dir, "report.json")
-    _write_json(rpath, report.to_json_dict())
-    report.report_json = os.path.basename(rpath)
+        report.certificate_json = "certificate.json"
+        certificate.write_json(os.path.join(out_dir, report.certificate_json))
+    report.report_json = "report.json"
+    _write_json(os.path.join(out_dir, report.report_json), report.to_json_dict())
     return report
 
 
@@ -176,10 +162,10 @@ def run_vdp(n_nodes=5, delta_t=50.0, c=1.0, seed=0, horizon=150.0, *,
         "tail_max_xi": float(err.xi[tail].max()),
     }
     report = RunReport(
-        "vdp", seed,
-        {"n_nodes": n_nodes, "delta_t": delta_t, "c": c, "horizon": horizon,
-         "eps0": eps0, "density": density, "dt": dt},
-        metrics, passed=True,
+        scenario="vdp", seed=seed,
+        parameters={"n_nodes": n_nodes, "delta_t": delta_t, "c": c, "horizon": horizon,
+                    "eps0": eps0, "density": density, "dt": dt},
+        metrics=metrics, passed=True,
     )
     return _emit(report, out_dir, traj, err, keep_series=return_series)
 
@@ -275,10 +261,10 @@ def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
         metrics["certificate_verdict"] = certificate.verdict.render()
         metrics["gamma_bar"] = certificate.gamma_bar
     report = RunReport(
-        "ring-contrarian", seed,
-        {"n_nodes": n_nodes, "a": a, "a12": a12, "time_varying": time_varying,
-         "horizon": horizon, "dt": dt},
-        metrics, passed=consensus,
+        scenario="ring-contrarian", seed=seed,
+        parameters={"n_nodes": n_nodes, "a": a, "a12": a12, "time_varying": time_varying,
+                    "horizon": horizon, "dt": dt},
+        metrics=metrics, passed=consensus,
     )
     return _emit(report, out_dir, traj, err, certificate, keep_series=return_series)
 
@@ -455,10 +441,11 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
         "windows": ratios,
     }
     report = RunReport(
-        "fhn-clusters", seed,
-        {"n_nodes": n_nodes, "a_bar": a_bar, "omega_l": omega_l, "omega_k": omega_k,
-         "horizon": horizon, "density": density, "dt": dt, "contrast": contrast},
-        metrics, passed=passed,
+        scenario="fhn-clusters", seed=seed,
+        parameters={"n_nodes": n_nodes, "a_bar": a_bar, "omega_l": omega_l,
+                    "omega_k": omega_k, "horizon": horizon, "density": density, "dt": dt,
+                    "metrics_start": metrics_start, "contrast": contrast},
+        metrics=metrics, passed=passed,
     )
     return _emit(report, out_dir, traj, err, keep_series=return_series)
 
@@ -467,12 +454,9 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
 # Lorenz nodes on a directed star
 # ---------------------------------------------------------------------------
 
-class StarFeasibility:
-    def __init__(self, case: str, feasible: bool, hub_pair_value: float, satellite_ok: bool):
-        self.case = case                      # "feasible-A" | "feasible-B" | "infeasible"
-        self.feasible = feasible
-        self.hub_pair_value = hub_pair_value
-        self.satellite_ok = satellite_ok      # the satellite-pair condition a > 0
+class StarFeasibility(_Record):
+    """Fields: case ("feasible-A" | "feasible-B" | "infeasible"), feasible,
+    hub_pair_value and satellite_ok (the satellite-pair condition a > 0)."""
 
     def to_json_dict(self) -> dict:
         return {
@@ -499,7 +483,8 @@ def star_feasibility(a, b, n_nodes) -> StarFeasibility:
         case = "infeasible"
     else:
         case = "feasible-A" if b < 0 else "feasible-B"
-    return StarFeasibility(case, feasible, value, a > 0.0)
+    return StarFeasibility(case=case, feasible=feasible, hub_pair_value=value,
+                           satellite_ok=a > 0.0)
 
 
 def star_matrix(n_nodes, a, b) -> np.ndarray:
@@ -586,9 +571,9 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
     }
     passed = not math.isnan(ratio) and ratio <= 1e-2
     report = RunReport(
-        "lorenz-star", seed,
-        {"n_nodes": n_nodes, "a": a, "b": b, "c": c, "perturb": perturb,
-         "heterogeneous": heterogeneous, "horizon": horizon, "t_on": t_on},
-        metrics, passed=passed,
+        scenario="lorenz-star", seed=seed,
+        parameters={"n_nodes": n_nodes, "a": a, "b": b, "c": c, "perturb": perturb,
+                    "heterogeneous": heterogeneous, "horizon": horizon, "t_on": t_on},
+        metrics=metrics, passed=passed,
     )
     return _emit(report, out_dir, traj, err, feas, keep_series=return_series)

@@ -910,6 +910,28 @@ def test_assumptions_print_grid_times_as_plain_floats():
     assert cert.to_json_dict()["assumptions"][1] == cert.assumptions[1]
 
 
+def test_result_records_compare_by_identity_and_verdicts_by_fields():
+    system = _decay_system(ts.static_schedule(np.ones((3, 3)) - np.eye(3)))
+    bounds = ts.PairBoundSet.constant(3, -1.0, 0.0, rho=2.0)
+    a, b = (ts.check_full_sync(system, bounds, 2.0, bound_M=0.5, epsilon=0.1) for _ in "ab")
+    assert a == a and a != b and not a == b  # delta_min is an array field: no field compare
+    assert len({a, b, a}) == 2
+    assert (a in [b]) is False and a in [b, a]
+    assert a.verdict == b.verdict and not a.verdict != b.verdict
+    assert a.verdict != ts.Verdict(status="fails", condition="gamma", pair=(0, 1), t=0.0)
+
+
+@pytest.mark.parametrize("horizon,last", [(2.506, 2.506), (2.504, 2.504), (2.5, 2.5)])
+def test_window_grid_ends_at_the_horizon(horizon, last):
+    # mu1 reads beta on the verdict grid, which ends exactly at t0 + horizon
+    reads = []
+    bounds = ts.PairBoundSet(3, 1.0, lambda i, j, t: -1.0,
+                             lambda i, j, t: reads.append(t) or 0.01)
+    system = _decay_system(ts.static_schedule(np.ones((3, 3)) - np.eye(3)))
+    cert = ts.check_full_sync(system, bounds, horizon, bound_M=1.0, epsilon=0.1)
+    assert max(reads) == last == cert.grid.t1
+
+
 def test_certificate_json_export_contract(tmp_path):
     A = np.ones((3, 3)) - np.eye(3)
     system = _decay_system(ts.static_schedule(A))

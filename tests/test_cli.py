@@ -293,6 +293,51 @@ def test_scenario_seeds_of_the_wrong_type_name_the_field(tmp_path, capsys, seeds
     assert message in capsys.readouterr().err
 
 
+_RING = {"kind": "ring-contrarian", "n": 10, "a": 0.5, "a12": 1.0}
+_CERTIFY = {"network": _RING, "bounds": {"kind": "identical", "l": 0.0, "rho": 2.0},
+            "horizon": 1.0}
+_SIMULATE = {"network": {"kind": "complete", "n": 3}, "t_end": 0.1}
+_PULLBACK = {"linear": {"a": -1.0}, "times": [0.0]}
+
+
+@pytest.mark.parametrize("command,doc,field,message", [
+    ("certify", dict(_CERTIFY, horizon=None), "horizon", "has the wrong type"),
+    ("certify", dict(_CERTIFY, horizon="2.5"), "horizon", "has the wrong type"),
+    ("certify", dict(_CERTIFY, epsilon=True), "epsilon", "has the wrong type"),
+    ("certify", dict(_CERTIFY, bounds={"kind": "identical", "l": [1], "rho": 2.0}), "l",
+     "has the wrong type"),
+    ("certify", dict(_CERTIFY, network=dict(_RING, time_varying="false")), "time_varying",
+     "has the wrong type"),
+    ("certify", dict(_CERTIFY, network=dict(_RING, n=10.7)), "n", "has the wrong type"),
+    ("scenario vdp", {"n_nodes": "5"}, "n_nodes", "has the wrong type"),
+    ("scenario vdp", {"horizon": None}, "horizon", "has the wrong type"),
+    ("simulate", dict(_SIMULATE, record_stride=2.5), "record_stride", "has the wrong type"),
+    ("simulate", dict(_SIMULATE, x0="abc"), "x0", "has the wrong type"),
+    ("simulate", dict(_SIMULATE, x0=[[0.0], ["x"], [1.0]]), "x0", "is invalid"),
+    ("pullback-check", dict(_PULLBACK, dim=1.5), "dim", "has the wrong type"),
+    ("pullback-check", dict(_PULLBACK, linear={"a": "x"}), "a", "has the wrong type"),
+    ("threshold", {"A": [[0, "x"], [1, 0]], "l_rho": 1.0}, "A", "is invalid"),
+])
+def test_config_values_of_the_wrong_type_name_the_field(tmp_path, capsys, command, doc,
+                                                         field, message):
+    # a value is never converted to the field's type: "false" is not False,
+    # 10.7 nodes are not 10 and true is not 1.0
+    cfg = _write(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert dispatch(command.split() + ["--config", cfg, "--out", str(out)]) == 1
+    assert f"config field '{field}' {message}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_well_typed_scenario_values_reach_the_report_unconverted(tmp_path):
+    cfg = _write(tmp_path / "vdp.json", {"n_nodes": 3, "delta_t": 1, "horizon": 1, "dt": 0.01,
+                                         "eps0": 0})
+    out = tmp_path / "out"
+    assert dispatch(["scenario", "vdp", "--config", cfg, "--out", str(out)]) == 0
+    params = json.loads((out / "report.json").read_text())["runs"][0]["parameters"]
+    assert [repr(params[k]) for k in ("delta_t", "horizon", "eps0")] == ["1", "1", "0"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_simulate_divergence_is_error_exit(tmp_path, capsys):
     cfg = _write(

@@ -1,5 +1,6 @@
 """Scenario harness behavior: construction, determinism, metrics, reports."""
 
+import inspect
 import json
 import math
 
@@ -202,3 +203,17 @@ def test_run_report_json_round_trip(tmp_path):
     assert doc["metrics"]["tail_max_disagreement"] == report.metrics["tail_max_disagreement"]
     assert doc["files"]["trajectory"] == "trajectory.csv"
     assert (tmp_path / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("fn,kwargs", [
+    (ts.run_vdp, dict(n_nodes=3, delta_t=0.5, horizon=1.0, dt=0.01)),
+    (ts.run_ring_contrarian, dict(n_nodes=7, horizon=1.0, dt=0.01)),
+    (ts.run_fhn_clusters, dict(n_nodes=6, horizon=2.0, dt=0.01, metrics_start=0.0)),
+    (ts.run_lorenz_star, dict(n_nodes=3, horizon=1.0, t_on=0.5)),
+])
+def test_report_parameters_list_every_configurable_argument(fn, kwargs):
+    # report.json must record every setting its metrics depend on
+    keys = set(inspect.signature(fn).parameters) - {"seed", "out_dir", "return_series"}
+    report = fn(**kwargs)
+    assert set(report.parameters) == keys
+    assert all(report.parameters[k] == v for k, v in kwargs.items())
