@@ -73,7 +73,9 @@ def _laplacian_in_place(L):
 
 def coupling_term(L, X, c):
     """c * sum_k a_ik (x_k - x_i) stacked over nodes, as c L X; L (n, n), X (n, m)."""
-    LX = L @ X
+    # ndarray.dot makes the BLAS call of L @ X with less dispatch and gives its bits on a
+    # C-ordered X, except that at n = m = 1 it keeps the sign of 0 * x (-0.0 for x < 0)
+    LX = L.dot(X)
     return LX if c == 1.0 else float(c) * LX  # 1.0 * v == v exactly
 
 

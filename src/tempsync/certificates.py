@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _kernels as kern
 from .integrate import SolverConfig, _Record, _Recorder, _write_json, integrate
-from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _chunks, _finite,
-                    _grid, _segment_runs)
+from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _all_finite, _chunks,
+                    _finite, _grid, _segment_runs)
 
 
 class InfeasibleTopologyError(ValueError):
@@ -230,7 +230,7 @@ class ComparisonSystem:
                             E = _metzler(kern.assemble_comparison(A[k], delta[k]), t)
                         else:
                             E.reshape(-1)[:: dim + 1] = d = 2.0 * delta[k]  # the diagonal
-                            if not np.isfinite(d).all():
+                            if not _all_finite(d):
                                 _metzler(E, t)  # raises
                         yield E
 
@@ -497,6 +497,10 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
         raise ValueError("epsilon must be positive")
     if horizon <= 0 or grid_step <= 0 or horizon < grid_step:
         raise ValueError("horizon and grid step must define a nonempty grid")
+    n_sub, N = len(nodes), system.n_nodes
+    if (t0 + horizon) - t0 < 1.0 - 1e-9 and not (bounds.time_constant and n_sub == N):
+        raise ValueError(f"horizon={horizon!r} is shorter than the unit time window over which "
+                         "mu1 (time-varying bounds) and mu2 (nodes outside J) are taken")
 
     def pinned(step):  # t0, t0 + step, ... with the last time pinned to t0 + horizon
         ts = t0 + step * np.arange(int(round(horizon / step)) + 1)
@@ -508,7 +512,6 @@ def _certify(system, bounds, nodes, horizon, bound_M, epsilon, t0, grid_step,
 
     mu_times = times if grid_step <= 1e-2 else pinned(1e-2)  # the mu1/mu2 window grid
     mu1 = compute_mu1(bounds, mu_times, pairs=np.column_stack([iu, ju]))
-    n_sub, N = len(nodes), system.n_nodes
     mu2 = None if cluster is None else compute_mu2(system, cluster, bounds.rho, mu_times)
     combined = mu1 if mu2 is None else mu1 + mu2 * (N - n_sub) * math.sqrt(
         2.0 * n_sub * (n_sub - 1)

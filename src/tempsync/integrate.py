@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels as kern
-from .model import NetworkSystem, _ConstPiece
+from .model import NetworkSystem, _ConstPiece, _all_finite
 
 
 class IntegrationError(RuntimeError):
@@ -122,7 +122,7 @@ def coupled_rhs(system: NetworkSystem, t: float, x: np.ndarray) -> np.ndarray:
     output, naming the offending time and node.
     """
     n, m = system.n_nodes, system.state_dim
-    X = np.asarray(x, dtype=float).reshape(n, m)
+    X = np.array(x, dtype=float, order="C").reshape(n, m)  # no strides of x reach L.dot(X)
     return _stages(system, system.schedule.sample)(t, X).reshape(n * m)
 
 
@@ -140,29 +140,21 @@ def _stages(system: NetworkSystem, piece):
     c = system.global_coupling
     # looked up per segment, not at import, so wrappers installed later apply
     eval_nodes, coupling_term = system.eval_nodes, kern.coupling_term
-    if isinstance(piece, _ConstPiece):
-        L = kern.laplacian(piece.matrix)
-
-        def stage(t, X):
-            F = eval_nodes(t, X)
-            if not np.isfinite(F).all():
-                _node_fault(t, F)
-            return F + coupling_term(L, X, c)
-
-        return stage
-
-    cache = {}  # sample time -> Laplacian, least recently used first
+    L = kern.laplacian(piece.matrix) if isinstance(piece, _ConstPiece) else None
+    cache = {}  # a functional piece's sample time -> Laplacian, least recently used first
 
     def stage(t, X):
         F = eval_nodes(t, X)
-        if not np.isfinite(F).all():
+        if not _all_finite(F):
             _node_fault(t, F)
-        Lt = cache.pop(t, None)
+        Lt = L
         if Lt is None:
-            Lt = kern._laplacian_in_place(piece(t))  # each sample is a fresh C array
-            if len(cache) == 6:
-                del cache[next(iter(cache))]
-        cache[t] = Lt
+            Lt = cache.pop(t, None)
+            if Lt is None:
+                Lt = kern._laplacian_in_place(piece(t))  # each sample is a fresh C array
+                if len(cache) == 6:
+                    del cache[next(iter(cache))]
+            cache[t] = Lt
         return F + coupling_term(Lt, X, c)
 
     return stage
@@ -196,28 +188,24 @@ class _Recorder:
 
 
 def _check_finite(t: float, X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
+    if not _all_finite(X):
         raise IntegrationError(f"state became non-finite at t={t}", t)
 
 
-def _rk4_step(f, t, X, h):
-    """One classical RK4 step of x' = f(t, x) from (t, X)."""
-    k1 = f(t, X)
-    k2 = f(t + 0.5 * h, X + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, X + 0.5 * h * k2)
-    k4 = f(t + h, X + h * k3)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _rk4_segment(system, piece, a, b, dt, rec):
-    """Fixed RK4 over [a, b] with a uniform step <= dt that lands on b."""
+    """Classical RK4 over [a, b] with a uniform step h <= dt that lands on b."""
     n_steps = max(1, int(np.ceil((b - a) / dt - 1e-12)))
     h = (b - a) / n_steps
+    hh, h6 = 0.5 * h, h / 6.0  # hoisted; the same floats at every stage
     f = _stages(system, piece)
     X = rec.states[-1]
     t = a
     for s in range(n_steps):
-        X = _rk4_step(f, t, X, h)
+        k1 = f(t, X)
+        k2 = f(t + hh, X + hh * k1)
+        k3 = f(t + hh, X + hh * k2)
+        k4 = f(t + h, X + h * k3)
+        X = X + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = a + (s + 1) * h if s + 1 < n_steps else b
         _check_finite(t, X)
         rec.step_done(t, X, force=(s + 1 == n_steps))
@@ -254,10 +242,10 @@ def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
         hA = h * _RKF_A  # row s, first s entries: stage s's input weights
         K[0] = f(t, X)
         for s in range(1, 6):
-            K[s] = f(t + _RKF_C[s] * h, X + (hA[s, :s] @ Kf[:s]).reshape(X.shape))
-        X5 = X + ((h * _RKF_B5) @ Kf).reshape(X.shape)
+            K[s] = f(t + _RKF_C[s] * h, X + hA[s, :s].dot(Kf[:s]).reshape(X.shape))
+        X5 = X + (h * _RKF_B5).dot(Kf).reshape(X.shape)
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(X), np.abs(X5))
-        q = ((h * _RKF_E) @ Kf / scale.reshape(-1)) ** 2
+        q = ((h * _RKF_E).dot(Kf) / scale.reshape(-1)) ** 2
         err = math.sqrt(np.add.reduce(q) / q.size)  # == np.sqrt(np.mean(q))
         if err > 1.0 and h <= 1e-12:
             raise IntegrationError(

@@ -82,9 +82,14 @@ def zero_dynamics(state_dim: int = 1) -> NodeDynamics:
     return NodeDynamics(state_dim, lambda t, x: zero)
 
 
+def _all_finite(a) -> bool:
+    """np.isfinite(a).all(), exactly, in fewer numpy calls (one mask, one byte scan)."""
+    return b"\0" not in np.isfinite(a).tobytes()
+
+
 def _finite(m: np.ndarray, entry: Callable[[int, int], str]) -> np.ndarray:
     """The matrix m itself, after checking every entry is finite; entry(i, j) names one."""
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         i, j = np.argwhere(~np.isfinite(m))[0]
         raise ValueError(f"{entry(i, j)} = {m[i, j]} is not finite")
     return m

@@ -130,9 +130,9 @@ def _vdp_system(n_nodes, delta_t, c, horizon, rng, eps0, density):
             last[:] = t, -eps0 * (1.0 + 0.5 * np.sin(omega * t))
         u = X[:, 0]
         v = X[:, 1]
-        out = np.empty_like(X)
-        out[:, 0] = v + b * u - u ** 3 / 3.0
-        out[:, 1] = last[1] * u
+        out = np.empty_like(X)  # each column written by its last ufunc, not copied in
+        np.subtract(v + b * u, u ** 3 / 3.0, out=out[:, 0])
+        np.multiply(last[1], u, out=out[:, 1])
         return out
 
     return NetworkSystem(NodeField(2, stacked), schedule, global_coupling=c / n_nodes)
@@ -360,8 +360,8 @@ def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density, eps=0.05
         x = X[:, 0]
         y = X[:, 1]
         out = np.empty_like(X)
-        out[:, 0] = cpar * x - x ** 3 - y + ipar
-        out[:, 1] = eps * (x + apar - bpar * y)
+        np.add(cpar * x - x ** 3 - y, ipar, out=out[:, 0])
+        np.multiply(eps, x + apar - bpar * y, out=out[:, 1])
         return out
 
     system = NetworkSystem(NodeField(2, stacked), schedule)
@@ -507,9 +507,9 @@ def _lorenz_system(n_nodes, schedule, c, rng, heterogeneous):
     def stacked(t, X):
         x, y, z = X[:, 0], X[:, 1], X[:, 2]
         out = np.empty_like(X)
-        out[:, 0] = sigma * (y - x)
-        out[:, 1] = x * (rho - z) - y
-        out[:, 2] = x * y - beta * z
+        np.multiply(sigma, y - x, out=out[:, 0])
+        np.subtract(x * (rho - z), y, out=out[:, 1])
+        np.subtract(x * y, beta * z, out=out[:, 2])
         return out
 
     return NetworkSystem(NodeField(3, stacked), schedule, global_coupling=c)

@@ -873,6 +873,30 @@ def test_certificate_rejects_nonfinite_parameters(name, value):
         ts.check_full_sync(system, bounds, 1.0, 0.11, 1e-3, margin=-1e-9)
 
 
+def test_horizon_shorter_than_the_unit_window_is_named():
+    # mu1 of time-varying bounds and mu2 of a cluster with nodes outside it
+    # are sups over unit time windows, which a horizon of 0.7 cannot hold
+    short = r"^horizon=0\.7 is shorter than the unit time window"
+    K3 = ts.NetworkSystem([ts.zero_dynamics(1)] * 3, ts.static_schedule(np.ones((3, 3))))
+    varying = ts.PairBoundSet(3, 1.0, lambda i, j, t: -1.0,
+                              lambda i, j, t: 0.01 * (1.0 + math.sin(t)))
+    with pytest.raises(ValueError, match=short):
+        ts.check_full_sync(K3, varying, 0.7, bound_M=1.0, epsilon=0.1)
+    ts.check_full_sync(K3, varying, 1.0, bound_M=1.0, epsilon=0.1)
+    A = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=float)
+    C4 = ts.NetworkSystem([ts.zero_dynamics(1)] * 4, ts.static_schedule(A))
+    const = ts.PairBoundSet.constant(4, -1.0, 0.0, rho=1.0)
+    with pytest.raises(ValueError, match=short):
+        ts.check_cluster_sync(C4, const, ts.ClusterSpec([0, 1]), 0.7, bound_M=1.0, epsilon=0.1)
+    assert ts.check_cluster_sync(C4, const, ts.ClusterSpec([0, 1]), 1.0, bound_M=100.0,
+                                 epsilon=0.1).mu2 > 0
+    # constant bounds over all nodes need no window: mu1 is |2 beta| itself
+    for J in ([0, 1, 2, 3], None):
+        cert = (ts.check_full_sync(C4, const, 0.7, bound_M=1.0, epsilon=0.1) if J is None else
+                ts.check_cluster_sync(C4, const, ts.ClusterSpec(J), 0.7, 1.0, 0.1))
+        assert cert.mu1 == 0.0
+
+
 def test_full_sync_failure_names_pair_and_condition():
     system = ts.build_contrarian_ring(10, 0.5, 0.0)
     bounds = ts.pair_bounds_for_identical_nodes(10, 0.0, rho=1.0)

@@ -119,6 +119,23 @@ def test_cluster_certify_rejects_bad_indices(tmp_path, capsys):
     assert "cluster" in capsys.readouterr().err
 
 
+def test_cluster_certify_names_a_horizon_shorter_than_the_unit_window(tmp_path, capsys):
+    # hub 1 and leaf 2 of a star see the other leaves differently, so mu2 needs
+    # a unit time window
+    doc = {"network": {"kind": "star", "n": 4, "a": 2.0, "b": -1.0},
+           "bounds": {"kind": "constant", "alpha": -5.0, "beta": 0.0, "rho": 1.0},
+           "cluster": [1, 2], "horizon": 0.7, "bound_M": 100.0}
+    cfg = _write(tmp_path / "short.json", doc)
+    out = tmp_path / "out"
+    assert dispatch(["cluster-certify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon=0.7 is shorter than the unit time window"), err
+    assert not (out / "certificate.json").exists()
+    doc["horizon"] = 1.0
+    cfg = _write(tmp_path / "long.json", doc)
+    assert dispatch(["cluster-certify", "--config", cfg, "--out", str(out)]) in (0, 2)
+
+
 def test_certify_rejects_nonfinite_bound(tmp_path, capsys):
     cfg = _write(  # json writes the float nan as the token NaN
         tmp_path / "nan.json",

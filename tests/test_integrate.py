@@ -8,7 +8,7 @@ import pytest
 
 import tempsync as ts
 from tempsync import _kernels as kern
-from tempsync.integrate import _RKF_E, _write_csv
+from tempsync.integrate import _RKF_A, _RKF_B5, _RKF_C, _RKF_E, _write_csv
 from tempsync.model import _ConstPiece
 
 
@@ -397,6 +397,99 @@ def test_laplacian_stages_match_per_stage_formula(n, method):
             ref = _reference_replay(system, method, traj)
             tol = 1e-12 * np.maximum(1.0, np.abs(ref))
             assert np.all(np.abs(traj.states - ref) <= tol), (m, kind)
+
+
+def _stage_by_stage_run(system, x0, t_end, cfg):
+    """(times, states) of integrate(system, 0, x0, t_end, cfg) at record_stride 1,
+    with every float operation of the integrator written out in its order: the
+    RK4 step as one expression per stage, the coupling as L @ X and the RKF45
+    stage, solution and error products as @, and finiteness by isfinite(...).all().
+    """
+    c = system.global_coupling
+    X = np.array(x0, dtype=float)
+    times, states, h = [0.0], [X], cfg.dt
+    for a, b, piece in system.schedule.segments_between(0.0, t_end):
+        L = kern.laplacian(piece.matrix) if isinstance(piece, _ConstPiece) else None
+
+        def f(t, X, piece=piece, L=L):
+            F = system.eval_nodes(t, X)
+            assert np.isfinite(F).all()
+            LX = (kern.laplacian(piece(t)) if L is None else L) @ X
+            return F + (LX if c == 1.0 else c * LX)
+
+        t = a
+        if cfg.method == "rk4":
+            n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
+            hs = (b - a) / n_steps
+            for s in range(n_steps):
+                k1 = f(t, X)
+                k2 = f(t + 0.5 * hs, X + 0.5 * hs * k1)
+                k3 = f(t + 0.5 * hs, X + 0.5 * hs * k2)
+                k4 = f(t + hs, X + hs * k3)
+                X = X + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = a + (s + 1) * hs if s + 1 < n_steps else b
+                assert np.isfinite(X).all()
+                times.append(t)
+                states.append(X)
+            continue
+        K = np.empty((6,) + X.shape)
+        Kf = K.reshape(6, -1)
+        h = min(h, b - a)
+        while t < b - 1e-14 * max(1.0, abs(b)):
+            h = min(h, b - t)
+            hA = h * _RKF_A
+            K[0] = f(t, X)
+            for s in range(1, 6):
+                K[s] = f(t + _RKF_C[s] * h, X + (hA[s, :s] @ Kf[:s]).reshape(X.shape))
+            X5 = X + ((h * _RKF_B5) @ Kf).reshape(X.shape)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(X), np.abs(X5))
+            q = ((h * _RKF_E) @ Kf / scale.reshape(-1)) ** 2
+            err = math.sqrt(np.add.reduce(q) / q.size)
+            if err <= 1.0:
+                t, X = t + h, X5
+                assert np.isfinite(X).all()
+                times.append(t)
+                states.append(X)
+            h = h * min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_integrate_equals_its_stage_by_stage_form_exactly(method):
+    # a zero-tolerance guard beside the 1e-12 per-stage formula test: the
+    # integrator's fewer-call forms (ndarray.dot, one step expression, the
+    # byte-scan finiteness check) must give exactly the same floats
+    rng = np.random.default_rng(300)
+    cfg = ts.SolverConfig(method=method, dt=2.0 ** -6, rtol=1e-8, atol=1e-10)
+    for n in (3, 10):
+        for m in (1, 2, 3):
+            for kind in ("constant", "functional", "periodic"):
+                for c in (1.0, 0.4):
+                    phase = rng.uniform(0.0, 3.0, (n, m))
+                    system = ts.NetworkSystem(
+                        ts.NodeField(m, lambda t, X, p=phase: 0.5 * X - X ** 3 + np.sin(t + p)),
+                        _schedule(kind, rng, n), global_coupling=c,
+                    )
+                    x0 = rng.uniform(-1.0, 1.0, (n, m))
+                    traj = ts.integrate(system, 0.0, x0, 2.0, cfg)
+                    times, states = _stage_by_stage_run(system, x0, 2.0, cfg)
+                    assert np.array_equal(traj.times, times), (n, m, kind, c)
+                    assert np.array_equal(traj.states, states), (n, m, kind, c)
+
+
+def test_coupled_rhs_does_not_depend_on_the_input_layout():
+    # a one-column state with a negative stride is copied to C order first,
+    # where the coupling product gives the same bits as on a fresh array
+    rng = np.random.default_rng(301)
+    for n in (2, 5, 15):
+        A = rng.uniform(-0.5, 1.0, (n, n))
+        system = ts.NetworkSystem(ts.NodeField(1, lambda t, X: -X), ts.static_schedule(A),
+                                  global_coupling=0.7)
+        x = rng.normal(size=2 * n)
+        view = x[::-2]
+        assert view.strides[0] < 0
+        assert ts.coupled_rhs(system, 0.3, view).tobytes() == \
+            ts.coupled_rhs(system, 0.3, view.copy()).tobytes()
 
 
 def test_fixed_step_field_evaluations_are_four_per_step(monkeypatch):

@@ -45,6 +45,27 @@ def test_coupling_vanishes_on_consensus_states():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_coupling_term_matches_matmul_bit_for_bit(order):
+    # coupling_term takes L.dot(X); on C and F layouts it gives the bits of L @ X,
+    # but for one node of one state (L = [[0]]) dot returns 0 * x, which is -0.0
+    # for x < 0, where @ returns +0.0
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 15, 30):
+        for m in (1, 2, 3):
+            for c in (1.0, 0.4, 1.0 / 15):
+                A = rng.uniform(-0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+                L = kern.laplacian(A)
+                X = np.array(rng.normal(size=(n, m)), order=order)
+                LX = L @ X
+                ref = LX if c == 1.0 else c * LX
+                out = kern.coupling_term(L, X, c)
+                if (n, m) == (1, 1):
+                    assert np.array_equal(out, ref) and out.shape == ref.shape
+                else:
+                    assert out.tobytes() == ref.tobytes(), (n, m, c)
+
+
 def test_laplacian_copies_and_the_in_place_kernel_writes_over_its_input():
     rng = np.random.default_rng(2)
     A = rng.normal(size=(6, 6))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempsync as ts
-from tempsync.model import _ConstPiece
+from tempsync.model import _all_finite, _ConstPiece
 
 
 def _eye_offdiag(n):
@@ -452,3 +452,23 @@ def test_functional_piece_never_mutates_what_its_callable_returns():
             assert np.all(np.diag(A) == 0.0)
             assert np.array_equal(A + np.diag(np.diag(source)), source)
     assert np.array_equal(kept, before) and np.array_equal(frozen, before)
+
+
+def test_all_finite_equals_isfinite_all():
+    rng = np.random.default_rng(21)
+    specials = [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -0.0, 0.0]
+    seen = set()
+    for shape in [(0,), (1,), (9,), (0, 3), (4, 0), (6, 3), (15, 2), (0, 2, 2), (3, 4, 5)]:
+        for _ in range(40):
+            a = rng.normal(size=shape)
+            k = int(rng.integers(0, 3)) if a.size else 0
+            a.reshape(-1)[rng.integers(0, max(a.size, 1), k)] = rng.choice(specials, k)
+            views = [a, a[::-1], a[::2], np.asfortranarray(a)]
+            if a.ndim > 1:
+                views += [a.T, a[:, ::-2], a[..., 1:]]
+            for v in views:
+                expected = bool(np.isfinite(v).all())
+                assert _all_finite(v) is expected, (shape, v)
+                seen.add(expected)
+    assert seen == {True, False}
