@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import IntegrationError, SolverConfig, _Record, _write_json, integrate
+from .integrate import IntegrationError, SolverConfig, _Record, integrate
 from .model import NetworkSystem, NodeField, _grid, static_schedule
 
 
@@ -176,9 +176,6 @@ class CoupledComparisonCheck(_Record):
             "nodes": self.n_nodes,
             "grid": {"t0": t0, "t1": t1, "step": step},
         }
-
-    def write_json(self, path) -> None:
-        _write_json(path, self.to_json_dict())
 
 
 def coupled_comparison_check(system: NetworkSystem, L: Sequence, grid) -> CoupledComparisonCheck:

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import SolverConfig, _Record, _Recorder, _write_json, integrate
+from .integrate import SolverConfig, _Record, _Recorder, _uniform_steps, integrate
 from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _all_finite, _chunks,
                     _finite, _grid, _segment_runs)
 
@@ -256,34 +256,36 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
                      cfg: SolverConfig | None = None) -> ComparisonTrajectory:
     """Integrate the comparison system from a finite, nonnegative initial vector.
 
-    Fixed-step RK4 on each segment record.  A time-varying record's E and
-    beta are sampled at the RK4 stage times, with pair bounds read once per
-    segment as (T, P) blocks.  Every E used must be Metzler (nonnegative off
-    the diagonal) and beta and xi0 finite and nonnegative, so that the exact
-    solution stays in the positive cone; ValueError names the first bad time
-    and entry, or index of xi0.  The output is clipped at zero, which then
-    only removes rounding below zero.
+    Fixed-step RK4 on each segment record; of cfg it reads only dt and
+    record_stride, and a method other than "rk4" raises ValueError.  A
+    time-varying record's E and beta are sampled at the RK4 stage times,
+    with pair bounds read once per segment as (T, P) blocks.  Every E used
+    must be Metzler (nonnegative off the diagonal) and beta and xi0 finite
+    and nonnegative, so that the exact solution stays in the positive cone;
+    ValueError names the first bad time and entry, or index of xi0.  The
+    output is clipped at zero, which then only removes rounding below zero.
     """
     cfg = cfg or SolverConfig()
+    if cfg.method != "rk4":
+        raise ValueError(f"method must be 'rk4' for comparison_solve, got {cfg.method!r}")
     u0 = _nonnegative(np.asarray(xi0, dtype=float).reshape(cs.dim), "initial comparison state")
     # recorded as the trajectory integrator records: every record_stride-th
     # step plus every segment end, which the next segment starts from
     rec = _Recorder(cfg.record_stride, t0, u0)
     for seg in cs._segments(t0, t_end):
-        a, b = seg.a, seg.b
-        n_steps = max(1, int(np.ceil((b - a) / cfg.dt - 1e-12)))
-        h = (b - a) / n_steps
+        a = seg.a
+        n_steps, h, ends = _uniform_steps(a, seg.b, cfg.dt)
+        ends = list(ends)
         if seg.const:
             out = kern.rk4_const_linear(next(seg.E_rows([a])), next(seg.b_rows([a])),
                                         rec.states[-1], h, n_steps)
         else:
-            ts = a + h * np.arange(n_steps + 1)
-            ts[-1] = b
+            ts = np.array([a] + ends)
             stages = kern.stage_times(ts)
             out = kern.rk4_sampled_linear(seg.E_rows(stages), seg.b_rows(stages), ts,
                                           rec.states[-1])
-        for s in range(1, n_steps + 1):
-            rec.step_done(b if s == n_steps else a + s * h, out[s], force=s == n_steps)
+        for s, t in enumerate(ends, 1):
+            rec.step_done(t, out[s], force=s == n_steps)
     return ComparisonTrajectory(times=np.asarray(rec.times),
                                 u=np.maximum(np.asarray(rec.states), 0.0))
 
@@ -452,9 +454,6 @@ class SyncCertificate(_Record):
             "grid": self.grid.to_dict(),
             "assumptions": list(self.assumptions),
         }
-
-    def write_json(self, path) -> None:
-        _write_json(path, self.to_json_dict())
 
 
 class ClusterCertificate(SyncCertificate):

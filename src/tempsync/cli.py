@@ -187,19 +187,15 @@ def _cmd_simulate(cfg, args, out):
     err = pairwise_errors(traj)
     traj.to_csv(os.path.join(out, "trajectory.csv"))
     err.to_csv(os.path.join(out, "errors.csv"))
-    _write_json(
-        os.path.join(out, "report.json"),
-        {
-            "command": "simulate",
-            "seed": args.seed,
-            "t0": t0,
-            "t_end": t_end,
-            "samples": len(traj.times),
-            "final_max_xi": float(err.xi[-1].max()),
-            "files": {"trajectory": "trajectory.csv", "errors": "errors.csv"},
-        },
-    )
-    return 0
+    return 0, {
+        "command": "simulate",
+        "seed": args.seed,
+        "t0": t0,
+        "t_end": t_end,
+        "samples": len(traj.times),
+        "final_max_xi": float(err.xi[-1].max()),
+        "files": {"trajectory": "trajectory.csv", "errors": "errors.csv"},
+    }
 
 
 def _certify_common(cfg, args, out, cluster=None):
@@ -222,16 +218,12 @@ def _certify_common(cfg, args, out, cluster=None):
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     cert.write_json(os.path.join(out, "certificate.json"))
-    _write_json(
-        os.path.join(out, "report.json"),
-        {
-            "command": "certify" if cluster is None else "cluster-certify",
-            "seed": args.seed,
-            "certificate": cert.to_json_dict(),
-            "files": {"certificate": "certificate.json"},
-        },
-    )
-    return 0 if cert.verdict.holds else 2
+    return 0 if cert.verdict.holds else 2, {
+        "command": "certify" if cluster is None else "cluster-certify",
+        "seed": args.seed,
+        "certificate": cert.to_json_dict(),
+        "files": {"certificate": "certificate.json"},
+    }
 
 
 def _cmd_cluster_certify(cfg, args, out):
@@ -250,8 +242,7 @@ def _cmd_threshold(cfg, args, out):
     except InfeasibleTopologyError as exc:
         doc = {"command": "threshold", "feasible": False, "pair": list(exc.pair),
                "hypothesis_value": exc.value}
-    _write_json(os.path.join(out, "report.json"), doc)
-    return 0 if doc["feasible"] else 2
+    return 0 if doc["feasible"] else 2, doc
 
 
 _SCENARIOS = {
@@ -298,8 +289,7 @@ def _cmd_scenario(cfg, args, out):
         "runs": [r.to_json_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    _write_json(os.path.join(out, "report.json"), doc)
-    return 0 if doc["passed"] else 2
+    return 0 if doc["passed"] else 2, doc
 
 
 def _cmd_pullback_check(cfg, args, out):
@@ -329,13 +319,11 @@ def _cmd_pullback_check(cfg, args, out):
             }
         )
         all_ok = all_ok and est.converged
-    _write_json(
-        os.path.join(out, "report.json"),
-        {"command": "pullback-check", "results": results, "converged": all_ok},
-    )
-    return 0 if all_ok else 2
+    return 0 if all_ok else 2, {"command": "pullback-check", "results": results,
+                                "converged": all_ok}
 
 
+# Each command returns (exit status, report.json document); dispatch writes it.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "certify": _certify_common,
@@ -391,7 +379,9 @@ def dispatch(argv=None) -> int:
             if getattr(args, key) is not None and isinstance(node, dict):
                 node[leaf] = getattr(args, key)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, args.out)
+        code, doc = _COMMANDS[args.command](cfg, args, args.out)
+        _write_json(os.path.join(args.out, "report.json"), doc)
+        return code
     except (CliError, IntegrationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

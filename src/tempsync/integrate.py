@@ -85,6 +85,9 @@ class _Record(SimpleNamespace):
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
+    def write_json(self, path) -> None:
+        _write_json(path, self.to_json_dict())
+
 
 class ErrorSeries(_Record):
     """Squared pairwise errors and the max-spread error; fields times (T,),
@@ -192,23 +195,30 @@ def _check_finite(t: float, X: np.ndarray) -> None:
         raise IntegrationError(f"state became non-finite at t={t}", t)
 
 
+def _uniform_steps(a, b, dt):
+    """(n, h, ends) for the fewest n steps h = (b - a)/n <= dt over [a, b]: ends
+    yields the step ends a + s h, s = 1..n, as floats with the last one b."""
+    n = max(1, math.ceil((b - a) / dt - 1e-12))
+    h = (b - a) / n
+    return n, h, (a + s * h if s < n else b for s in range(1, n + 1))
+
+
 def _rk4_segment(system, piece, a, b, dt, rec):
     """Classical RK4 over [a, b] with a uniform step h <= dt that lands on b."""
-    n_steps = max(1, int(np.ceil((b - a) / dt - 1e-12)))
-    h = (b - a) / n_steps
+    n_steps, h, ends = _uniform_steps(a, b, dt)
     hh, h6 = 0.5 * h, h / 6.0  # hoisted; the same floats at every stage
     f = _stages(system, piece)
     X = rec.states[-1]
     t = a
-    for s in range(n_steps):
+    for s, t_next in enumerate(ends, 1):
         k1 = f(t, X)
         k2 = f(t + hh, X + hh * k1)
         k3 = f(t + hh, X + hh * k2)
         k4 = f(t + h, X + h * k3)
         X = X + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = a + (s + 1) * h if s + 1 < n_steps else b
+        t = t_next
         _check_finite(t, X)
-        rec.step_done(t, X, force=(s + 1 == n_steps))
+        rec.step_done(t, X, force=s == n_steps)
     return X
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as kern
 from .certificates import check_full_sync
-from .integrate import SolverConfig, _Record, _write_json, integrate, pairwise_errors
+from .integrate import SolverConfig, _Record, integrate, pairwise_errors
 from .model import (
     AdjacencySchedule,
     NetworkSystem,
@@ -51,10 +51,13 @@ class RunReport(_Record):
         }
 
 
-def _emit(report: RunReport, out_dir, traj, err, certificate=None,
-          keep_series=False) -> RunReport:
-    if keep_series:
-        report.series = err
+def _report(scenario, args, traj, err, metrics, passed, certificate=None) -> RunReport:
+    """The RunReport of a runner called with arguments args (its locals at
+    entry): parameters are args less seed, out_dir and return_series.  With
+    out_dir set, the CSVs, the certificate and report.json are written there."""
+    out_dir, seed, keep_series = (args.pop(k) for k in ("out_dir", "seed", "return_series"))
+    report = RunReport(scenario=scenario, seed=seed, parameters=args, metrics=metrics,
+                       passed=passed, series=err if keep_series else None)
     if out_dir is None:
         return report
     os.makedirs(out_dir, exist_ok=True)
@@ -65,12 +68,12 @@ def _emit(report: RunReport, out_dir, traj, err, certificate=None,
         report.certificate_json = "certificate.json"
         certificate.write_json(os.path.join(out_dir, report.certificate_json))
     report.report_json = "report.json"
-    _write_json(os.path.join(out_dir, report.report_json), report.to_json_dict())
+    report.write_json(os.path.join(out_dir, report.report_json))
     return report
 
 
-def _tail_mask(times, horizon, frac=0.25):
-    return times >= (1.0 - frac) * horizon
+def _tail_mask(times, horizon):
+    return times >= 0.75 * horizon  # the final quarter of [0, horizon]
 
 
 def _connected_undirected(support: np.ndarray) -> bool:
@@ -88,8 +91,8 @@ def _connected_undirected(support: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _random_connected_symmetric(rng, n, density=0.5, max_tries=1000):
-    for _ in range(max_tries):
+def _random_connected_symmetric(rng, n, density):
+    for _ in range(1000):
         upper = rng.random((n, n)) < density
         m = np.triu(upper, k=1)
         m = m | m.T
@@ -147,6 +150,7 @@ def run_vdp(n_nodes=5, delta_t=50.0, c=1.0, seed=0, horizon=150.0, *,
     topology is resampled every delta_t units with connectivity enforced by
     rejection.  Metrics cover the final quarter of the horizon.
     """
+    args = dict(locals())
     if c < 0:
         raise ValueError("c must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -161,13 +165,7 @@ def run_vdp(n_nodes=5, delta_t=50.0, c=1.0, seed=0, horizon=150.0, *,
         "tail_mean_e_hat": float(err.e_hat[tail].mean()),
         "tail_max_xi": float(err.xi[tail].max()),
     }
-    report = RunReport(
-        scenario="vdp", seed=seed,
-        parameters={"n_nodes": n_nodes, "delta_t": delta_t, "c": c, "horizon": horizon,
-                    "eps0": eps0, "density": density, "dt": dt},
-        metrics=metrics, passed=True,
-    )
-    return _emit(report, out_dir, traj, err, keep_series=return_series)
+    return _report("vdp", args, traj, err, metrics, passed=True)
 
 
 def run_vdp_sweep(c_values, n_nodes=5, delta_t=50.0, seed=0, horizon=150.0,
@@ -237,6 +235,7 @@ def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
     final quarter of the horizon.  With out_dir given a synchronization
     certificate for the ring is evaluated and exported.
     """
+    args = dict(locals())
     rng = np.random.default_rng(seed)
     system = build_contrarian_ring(n_nodes, a, a12, time_varying=time_varying, rng=rng)
     x0 = rng.uniform(-1.0, 1.0, (n_nodes, 1))
@@ -260,13 +259,7 @@ def run_ring_contrarian(n_nodes=10, a=0.5, a12=1.0, time_varying=False, seed=0,
         )
         metrics["certificate_verdict"] = certificate.verdict.render()
         metrics["gamma_bar"] = certificate.gamma_bar
-    report = RunReport(
-        scenario="ring-contrarian", seed=seed,
-        parameters={"n_nodes": n_nodes, "a": a, "a12": a12, "time_varying": time_varying,
-                    "horizon": horizon, "dt": dt},
-        metrics=metrics, passed=consensus,
-    )
-    return _emit(report, out_dir, traj, err, certificate, keep_series=return_series)
+    return _report("ring-contrarian", args, traj, err, metrics, consensus, certificate)
 
 
 def ring_symbolic_certificate(a, a12, n_nodes) -> dict:
@@ -311,8 +304,8 @@ def ring_symbolic_certificate(a, a12, n_nodes) -> dict:
 # FitzHugh-Nagumo clusters driven by two leader neurons
 # ---------------------------------------------------------------------------
 
-def _random_fhn_graph(rng, n, leaders, density, max_tries=2000):
-    for _ in range(max_tries):
+def _random_fhn_graph(rng, n, leaders, density):
+    for _ in range(2000):
         m = (rng.random((n, n)) < density)
         np.fill_diagonal(m, False)
         if not _connected_undirected(m):
@@ -322,7 +315,10 @@ def _random_fhn_graph(rng, n, leaders, density, max_tries=2000):
     raise RuntimeError("failed to draw a usable leader graph")
 
 
-def _fhn_schedule(n_nodes, support, leaders, a_bar, omegas, horizon, background=0.01):
+_FHN_BACKGROUND = 0.01  # every edge's weight outside its leader's active windows
+
+
+def _fhn_schedule(n_nodes, support, leaders, a_bar, omegas, horizon):
     """Piecewise-constant schedule with leader out-weights gated by sin signs.
 
     Breakpoints sit at every sign change of sin(omega_l t) and sin(omega_k t),
@@ -338,15 +334,15 @@ def _fhn_schedule(n_nodes, support, leaders, a_bar, omegas, horizon, background=
     segments = []
     probe = 1e-6  # far below any window length, safely past the crossing
     for t_start in cuts:
-        m = support * background
+        m = support * _FHN_BACKGROUND
         for leader, w in zip(leaders, omegas):
-            level = a_bar if math.sin(w * (t_start + probe)) >= 0.0 else background
+            level = a_bar if math.sin(w * (t_start + probe)) >= 0.0 else _FHN_BACKGROUND
             m[:, leader] = support[:, leader] * level
         segments.append((t_start, m))
     return build_switching_schedule(n_nodes, segments)
 
 
-def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density, eps=0.05):
+def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density):
     cpar = rng.uniform(0.75, 1.0, n_nodes)
     apar = rng.uniform(-0.3, 0.3, n_nodes)
     bpar = rng.uniform(0.1, 2.0, n_nodes)
@@ -361,14 +357,14 @@ def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density, eps=0.05
         y = X[:, 1]
         out = np.empty_like(X)
         np.add(cpar * x - x ** 3 - y, ipar, out=out[:, 0])
-        np.multiply(eps, x + apar - bpar * y, out=out[:, 1])
+        np.multiply(0.05, x + apar - bpar * y, out=out[:, 1])  # time-scale ratio eps
         return out
 
     system = NetworkSystem(NodeField(2, stacked), schedule)
     return system, support
 
 
-def _window_contrast(times, states, cluster, omega, metrics_start, settle_frac=0.5):
+def _window_contrast(times, states, cluster, omega, metrics_start):
     """(in-window, out-window) max cluster spread, measured on the settled
     part (last half) of each sign window of sin(omega t)."""
     sub = states[:, cluster, :]
@@ -381,7 +377,7 @@ def _window_contrast(times, states, cluster, omega, metrics_start, settle_frac=0
         t_lo, t_hi = times[lo], times[hi - 1]
         if t_hi <= metrics_start or t_hi == t_lo:
             continue
-        settled = times[lo:hi] >= t_lo + settle_frac * (t_hi - t_lo)
+        settled = times[lo:hi] >= t_lo + 0.5 * (t_hi - t_lo)
         settled &= times[lo:hi] >= metrics_start
         if not settled.any():
             continue
@@ -402,8 +398,9 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
     out-neighbors synchronize.  The predicate compares the settled in-window
     cluster spread against the out-window spread for both leaders.
     """
-    if a_bar <= 0.01:
-        raise ValueError("a_bar must exceed the background weight 1/100")
+    args = dict(locals())
+    if a_bar <= _FHN_BACKGROUND:
+        raise ValueError(f"a_bar must exceed the background weight {_FHN_BACKGROUND}")
     rng = np.random.default_rng(seed)
     leaders = rng.choice(n_nodes, size=2, replace=False)
     leaders = [int(leaders[0]), int(leaders[1])]
@@ -440,14 +437,7 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
         "ratio_k": ratios["k"]["ratio"],
         "windows": ratios,
     }
-    report = RunReport(
-        scenario="fhn-clusters", seed=seed,
-        parameters={"n_nodes": n_nodes, "a_bar": a_bar, "omega_l": omega_l,
-                    "omega_k": omega_k, "horizon": horizon, "density": density, "dt": dt,
-                    "metrics_start": metrics_start, "contrast": contrast},
-        metrics=metrics, passed=passed,
-    )
-    return _emit(report, out_dir, traj, err, keep_series=return_series)
+    return _report("fhn-clusters", args, traj, err, metrics, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +449,7 @@ class StarFeasibility(_Record):
     hub_pair_value and satellite_ok (the satellite-pair condition a > 0)."""
 
     def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "feasible": self.feasible,
-            "hub_pair_value": self.hub_pair_value,
-            "satellite_ok": self.satellite_ok,
-        }
-
-    def write_json(self, path) -> None:
-        _write_json(path, self.to_json_dict())
+        return dict(vars(self))  # the four fields, each a JSON value
 
 
 def star_feasibility(a, b, n_nodes) -> StarFeasibility:
@@ -526,6 +508,7 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
     predicate compares the mean spread error after t_on + 20 against the
     decoupled window [0, t_on).
     """
+    args = dict(locals())
     rng = np.random.default_rng(seed)
     star = star_matrix(n_nodes, a, b)
     if perturb is None:
@@ -570,10 +553,4 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
         "feasibility": feas.case,
     }
     passed = not math.isnan(ratio) and ratio <= 1e-2
-    report = RunReport(
-        scenario="lorenz-star", seed=seed,
-        parameters={"n_nodes": n_nodes, "a": a, "b": b, "c": c, "perturb": perturb,
-                    "heterogeneous": heterogeneous, "horizon": horizon, "t_on": t_on},
-        metrics=metrics, passed=passed,
-    )
-    return _emit(report, out_dir, traj, err, feas, keep_series=return_series)
+    return _report("lorenz-star", args, traj, err, metrics, passed, feas)

@@ -380,6 +380,17 @@ def test_comparison_solve_scalar_closed_form():
         ts.comparison_solve(cs, 0.0, -np.ones(1), 1.0)
 
 
+def test_comparison_solve_rejects_a_method_it_does_not_run():
+    # it integrates by fixed-step RK4 only; an rk45 config was once run as rk4
+    cs = ComparisonSystem.from_network(
+        _zero_system(np.ones((3, 3)) - np.eye(3)), ts.PairBoundSet.constant(3, 0.5, 0.1, 1.0))
+    rk4 = ts.comparison_solve(cs, 0.0, np.ones(3), 1.0, ts.SolverConfig(dt=0.1))
+    assert rk4.u.shape == (11, 3)
+    with pytest.raises(ValueError, match="method must be 'rk4'"):
+        ts.comparison_solve(cs, 0.0, np.ones(3), 1.0,
+                            ts.SolverConfig(method="rk45", dt=0.1, rtol=1e-12, atol=1e-14))
+
+
 def test_comparison_dominates_simulation_on_random_network():
     rng = np.random.default_rng(2024)
     segs = [

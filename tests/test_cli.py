@@ -177,7 +177,7 @@ def test_parser_is_built_once_and_keeps_no_option_values(tmp_path, monkeypatch):
     seen = []
     for name in ("scenario", "simulate"):
         monkeypatch.setitem(
-            cli._COMMANDS, name, lambda cfg, args, out: seen.append(dict(vars(args))) or 0
+            cli._COMMANDS, name, lambda cfg, args, out: seen.append(dict(vars(args))) or (0, {})
         )
     cfg = _write(tmp_path / "empty.json", {})
     assert cli._build_parser() is cli._build_parser()
@@ -221,7 +221,7 @@ def test_flag_table_has_33_pairs():
 def test_no_flag_is_silently_ignored(tmp_path, monkeypatch, capsys, command, flag):
     seen = []
     monkeypatch.setitem(cli._COMMANDS, command,
-                        lambda cfg, args, out: seen.append((cfg, vars(args))) or 0)
+                        lambda cfg, args, out: seen.append((cfg, vars(args))) or (0, {}))
     doc = {"network": {"kind": "complete"}, "t_end": 1.0, "horizon": 1.0}
     cfg, out = _write(tmp_path / "cfg.json", doc), str(tmp_path / "out")
     argv = [command] + (["vdp"] if command == "scenario" else [])
@@ -250,7 +250,7 @@ def test_no_flag_is_silently_ignored(tmp_path, monkeypatch, capsys, command, fla
 @pytest.mark.parametrize("command", sorted(_FLAG_TABLE))
 def test_benchmark_argv_shape_parses_for_every_command(tmp_path, monkeypatch, command):
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, args, out: seen.append(args) or 0)
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, args, out: seen.append(args) or (0, {}))
     cfg = _write(tmp_path / "cfg.json", {})
     argv = command.split() + (["ring"] if command == "scenario" else [])
     assert dispatch(argv + ["--config", cfg, "--out", str(tmp_path / "o"), "--seed", "7"]) == 0
@@ -344,6 +344,30 @@ def test_config_values_of_the_wrong_type_name_the_field(tmp_path, capsys, comman
     assert dispatch(command.split() + ["--config", cfg, "--out", str(out)]) == 1
     assert f"config field '{field}' {message}" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+# one small valid config per command (scenario: ring)
+_MINIMAL = {
+    "simulate": _SIMULATE,
+    "certify": _CERTIFY,
+    "cluster-certify": {"network": {"kind": "complete", "n": 3}, "bounds": _CERTIFY["bounds"],
+                        "horizon": 1.0, "cluster": [1, 2]},
+    "threshold": {"A": [[0, 1], [1, 0]], "l_rho": 1.0},
+    "scenario": {"n_nodes": 7, "horizon": 0.5, "dt": 0.01},
+    "pullback-check": _PULLBACK,
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_writes_report_json_unless_it_exits_one(tmp_path, command):
+    argv = [command] + (["ring"] if command == "scenario" else [])
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    cfg = _write(tmp_path / "good.json", _MINIMAL[command])
+    assert dispatch(argv + ["--config", cfg, "--out", str(good)]) in (0, 2)
+    assert json.loads((good / "report.json").read_text())["command"] == " ".join(argv)
+    cfg = _write(tmp_path / "bad.json", {"horizon": "1"})  # missing or mistyped fields
+    assert dispatch(argv + ["--config", cfg, "--out", str(bad)]) == 1
+    assert not (bad / "report.json").exists()
 
 
 def test_well_typed_scenario_values_reach_the_report_unconverted(tmp_path):
