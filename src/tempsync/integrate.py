@@ -97,8 +97,7 @@ class ErrorSeries(_Record):
         n = self.n_nodes
         iu, ju, _ = kern.pair_arrays(n)
         header = ["t"] + [f"xi_{i + 1}_{j + 1}" for i, j in zip(iu, ju)] + ["e_hat"]
-        body = np.column_stack([self.xi, self.e_hat])
-        _write_csv(path, header, self.times, body)
+        _write_csv(path, header, self.times, self.xi, self.e_hat)
 
 
 def _write_json(path, doc) -> None:
@@ -108,13 +107,35 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _write_csv(path, header, times, body) -> None:
-    # one %-format per row, built once per file; "%.17g" % v == format(v, ".17g")
-    fmt = ",".join(["%.17g"] * (1 + body.shape[1])) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(times, body):
-            fh.write(fmt % (t, *row.tolist()))
+_CSV_BLOCK_CELLS = 2 ** 13
+
+
+def _write_csv(path, header, times, *columns) -> None:
+    """Write the header line, then one line per time: t and each column's row.
+
+    ``columns`` are (T,) or (T, k) arrays.  Every value is written as
+    ``"%.17g" % v``, so parsing it gives back the exact double; values are
+    joined by "," and each line ends in "\\n".  The text comes from
+    ``_g17text.G17Text``, which renders each value from a double-double
+    product and hands the ones it cannot decide exactly to ``"%.17g" % v``:
+    zero, inf, nan, |v| outside [1e-280, 1e290], and values whose rounding
+    decision lies within 2**-30 of a half.  Rows go out in blocks of at most
+    _CSV_BLOCK_CELLS values (one row if a row is longer), through one set of
+    buffers and one write per block.
+    """
+    from ._g17text import G17Text  # first CSV write only; keeps it off the import path
+
+    cols = [c if c.ndim == 2 else c[:, None] for c in (np.asarray(times), *columns)]
+    edges = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
+    text = G17Text(max(1, _CSV_BLOCK_CELLS // edges[-1]), edges[-1])
+    block = np.empty((text.rows, edges[-1]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for r0 in range(0, len(times), text.rows):
+            m = min(text.rows, len(times) - r0)
+            for c, a, b in zip(cols, edges, edges[1:]):
+                block[:m, a:b] = c[r0:r0 + m]
+            fh.write(text.render(block[:m].reshape(-1)))
 
 
 def coupled_rhs(system: NetworkSystem, t: float, x: np.ndarray) -> np.ndarray:
@@ -308,10 +329,13 @@ def pairwise_errors(traj: Trajectory) -> ErrorSeries:
 
     xi is ordered lexicographically by (i, j), i < j, and is nonnegative by
     construction; e_hat(t) aggregates the per-component spread
-    max_ij |x_iq - x_jq| in the Euclidean norm over components.
+    max_ij |x_iq - x_jq| in the Euclidean norm over components.  Raises
+    ValueError for an empty trajectory or one with fewer than two nodes.
     """
     if len(traj.times) == 0:
         raise ValueError("trajectory is empty")
+    if traj.n_nodes < 2:
+        raise ValueError("need at least two nodes")
     xi = kern.xi_series(traj.states)
     eh = kern.e_hat_series(traj.states)
     return ErrorSeries(times=traj.times.copy(), xi=xi, e_hat=eh, n_nodes=traj.n_nodes)

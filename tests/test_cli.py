@@ -391,6 +391,25 @@ def test_simulate_divergence_is_error_exit(tmp_path, capsys):
     assert "non-finite field value" in capsys.readouterr().err
 
 
+def test_one_node_simulate_exits_one_before_writing_csv(tmp_path, capsys):
+    # used to write both CSVs, then exit 1 with numpy's "zero-size array to
+    # reduction operation maximum which has no identity"
+    cfg = _write(tmp_path / "sim.json",
+                 {"network": {"kind": "complete", "n": 1}, "t_end": 1, "dt": 0.1})
+    out = tmp_path / "out"
+    assert dispatch(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need at least two nodes\n"
+    assert os.listdir(out) == []
+
+
+def test_one_node_scenario_names_the_node_count(tmp_path, capsys):
+    cfg = _write(tmp_path / "vdp.json", {"n_nodes": 1, "horizon": 1.0})
+    out = tmp_path / "out"
+    assert dispatch(["scenario", "vdp", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: need at least two nodes\n"
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_names_path(tmp_path, capsys):
     code = dispatch(["certify", "--config", str(tmp_path / "nope.json")])
     assert code == 1

@@ -147,6 +147,12 @@ def test_pairwise_errors_two_nodes_scalar():
     assert err.xi[0, 0] == 4.0 and err.e_hat[0] == 2.0
 
 
+def test_pairwise_errors_need_two_nodes():
+    traj = ts.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1, 2)))
+    with pytest.raises(ValueError, match="^need at least two nodes$"):
+        ts.pairwise_errors(traj)
+
+
 def test_rk45_matches_closed_form_with_forcing():
     # x' = -x + sin t -> x(t) = (sin t - cos t)/2 + C e^{-t}
     node = ts.NodeDynamics(1, lambda t, x: -x + math.sin(t))
@@ -303,6 +309,50 @@ def test_write_csv_matches_per_cell_format(tmp_path):
         ",".join(format(v, ".17g") for v in [t, *row]) + "\n"
         for t, row in zip(times.tolist(), body.tolist()))
     assert path.read_bytes() == want.encode()
+
+
+def _per_cell_csv(header, times, *columns):
+    rows = np.column_stack([times, *columns]).tolist()
+    return (",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)).encode()
+
+
+@pytest.mark.parametrize("scenario", ["fhn", "vdp"])
+def test_scenario_csvs_match_per_cell_format(tmp_path, monkeypatch, scenario):
+    # the FHN errors.csv has 1 + 435 + 1 = 437 columns, so its 385 rows span
+    # 22 blocks of the writer
+    written = {}
+    to_csv = ts.Trajectory.to_csv
+    monkeypatch.setattr(ts.Trajectory, "to_csv",
+                        lambda self, path: (written.setdefault("traj", self), to_csv(self, path)))
+    if scenario == "fhn":
+        report = ts.run_fhn_clusters(n_nodes=30, horizon=3.0, dt=2 ** -9, metrics_start=0.0,
+                                     out_dir=tmp_path, return_series=True)
+    else:
+        report = ts.run_vdp(n_nodes=6, delta_t=0.5, horizon=3.0, dt=2 ** -9,
+                            out_dir=tmp_path, return_series=True)
+    traj, err = written["traj"], report.series
+    n, m = traj.states.shape[1:]
+    iu, ju, _ = kern.pair_arrays(n)
+    want_traj = _per_cell_csv(
+        ["t"] + [f"x_{i + 1}_{q + 1}" for i in range(n) for q in range(m)],
+        traj.times, traj.states.reshape(len(traj.times), -1))
+    want_err = _per_cell_csv(
+        ["t"] + [f"xi_{i + 1}_{j + 1}" for i, j in zip(iu, ju)] + ["e_hat"],
+        err.times, err.xi, err.e_hat)
+    assert (tmp_path / "trajectory.csv").read_bytes() == want_traj
+    assert (tmp_path / "errors.csv").read_bytes() == want_err
+    if scenario == "fhn":
+        assert err.xi.shape == (385, 435)
+
+
+def test_write_csv_header_only_and_t_only_tables(tmp_path):
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["t", "a", "b"], np.zeros(0), np.zeros((0, 2)))
+    assert path.read_bytes() == b"t,a,b\n"
+    times = np.array([0.0, 0.1, 1e-300, -2.5e17])
+    _write_csv(path, ["t"], times, np.zeros((4, 0)))
+    assert path.read_bytes() == _per_cell_csv(["t"], times)
 
 
 # -- the Laplacian stage form against the per-stage formula it replaces -----

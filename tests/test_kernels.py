@@ -1,9 +1,14 @@
 """Closed-form and reference checks for the hot kernels."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from tempsync import _kernels as kern
+from tempsync._g17text import G17Text
 
 
 def _rand_inputs(seed, n):
@@ -237,3 +242,75 @@ def test_rk4_sampled_principal_matches_const_on_frozen_e():
     np.testing.assert_allclose(n_s, n_c, rtol=1e-12, atol=0)
     np.testing.assert_allclose(V_s, V_c, rtol=1e-12, atol=0)
     assert np.all(n_c[:, 2] == 0.0)  # a start beyond the last step never fires
+
+
+# -- exact "%.17g" text of float blocks --------------------------------------
+
+def _g17_text(values, width, rows):
+    """values through one G17Text in blocks of rows x width, as bytes."""
+    text = G17Text(rows, width)
+    per = rows * width
+    return b"".join(text.render(values[k:k + per]).tobytes()
+                    for k in range(0, values.size, per))
+
+
+def _g17_reference(values, width):
+    cells = list(map(format, values.tolist(), itertools.repeat(".17g")))
+    rows = [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
+    return ("\n".join(rows) + "\n").encode()
+
+
+def _g17_edges():
+    """Edge families: zeros, subnormals, inf and nan; 10**k and its 1-ulp
+    neighbours; 17-digit strings that round up into the next decade; the
+    fixed/scientific switch; integers from 2**53 up; and dyadic values whose
+    18th significant digit is an exact tie; each with both signs."""
+    rng = np.random.default_rng(7)
+    tiny = np.nextafter(0.0, 1.0)
+    vals = [0.0, math.inf, math.nan, tiny, 2 * tiny, 2.2250738585072009e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308]
+    vals += (rng.integers(1, 2 ** 52, 64) * tiny).tolist()
+    for k in range(-323, 309):
+        p = float(Fraction(10) ** k)
+        vals += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+        vals += [float(f"9.9999999999999999e{k}"), float(f"9.99999999999999999e{k}")]
+    for lo in (1e-5, 1e-4, 1e16, 1e17):
+        vals += (lo * (1 + rng.uniform(-1e-3, 1e-3, 32))).tolist()
+    big = 2.0 ** 53
+    vals += [big + 2.0 * k for k in range(-4, 64)]
+    vals += [float(2 ** e) for e in range(53, 1024, 7)]
+    vals += [float(k) for k in rng.integers(2 ** 53, 2 ** 63, 256, dtype=np.int64).tolist()]
+    ties = []
+    for j in range(2, 12):  # (18 - j) integer digits and j binary = decimal places
+        n = rng.integers(10 ** (17 - j), min(10 ** (18 - j), 2 ** (53 - j)), 64, dtype=np.int64)
+        odd = 2 * rng.integers(0, 2 ** (j - 1), 64, dtype=np.int64) + 1
+        ties += (n + odd / 2.0 ** j).tolist()
+    vals += ties
+    vals = np.array(vals)
+    return np.concatenate([vals, -vals]), ties
+
+
+def _tie_at_digit_18(v):
+    e = int(f"{v:.25e}".split("e")[1])
+    return (Fraction(v) * Fraction(10) ** (16 - e)).denominator == 2
+
+
+def test_g17_text_matches_format_on_every_binade_and_edge_family():
+    # 2**20 doubles: every biased exponent 0..2046 (0 is the subnormals), a
+    # random significand and a random sign each
+    rng = np.random.default_rng(2023)
+    count = 2 ** 20
+    exponent = np.arange(count, dtype=np.uint64) % np.uint64(2047)
+    significand = rng.integers(0, 2 ** 52, count, dtype=np.uint64)
+    sign = rng.integers(0, 2, count, dtype=np.uint64)
+    bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | significand
+    values = bits.view(np.float64)
+    assert _g17_text(values, 8, 1024) == _g17_reference(values, 8)
+
+    edges, ties = _g17_edges()
+    assert sum(map(_tie_at_digit_18, ties)) == len(ties) == 640
+    carried = [v for v in edges[edges > 0].tolist()
+               if math.isfinite(v) and Fraction(v) < Fraction(10) ** round(math.log10(v))
+               and format(v, ".17g").lstrip("0.").rstrip("0").startswith("1e")]
+    assert len(carried) >= 10  # the 17-digit rounding moves to the next exponent
+    assert _g17_text(edges, 1, 2 ** 13) == _g17_reference(edges, 1)
