@@ -67,16 +67,22 @@ def laplacian(A):
 
 def _laplacian_in_place(L):
     """L = A - diag(A 1), written over A itself, a C-ordered float64 (n, n) array."""
-    L.reshape(-1)[:: L.shape[0] + 1] -= L.sum(axis=1)  # the diagonal, as a view
+    # the diagonal, as a view, less the row sums (L.sum's reduction without its wrapper)
+    L.reshape(-1)[:: L.shape[0] + 1] -= np.add.reduce(L, 1)
     return L
 
 
 def coupling_term(L, X, c):
-    """c * sum_k a_ik (x_k - x_i) stacked over nodes, as c L X; L (n, n), X (n, m)."""
+    """c * sum_k a_ik (x_k - x_i) stacked over nodes, as c L X; L (n, n), X (n, m).
+
+    c is a float or a 0-d float64 array, which gives the same bits and saves
+    numpy converting a Python float operand on every call.
+    """
     # ndarray.dot makes the BLAS call of L @ X with less dispatch and gives its bits on a
     # C-ordered X, except that at n = m = 1 it keeps the sign of 0 * x (-0.0 for x < 0)
     LX = L.dot(X)
-    return LX if c == 1.0 else float(c) * LX  # 1.0 * v == v exactly
+    # float(c) == 1.0, not c == 1.0: on a 0-d array the comparison is a ufunc call
+    return LX if float(c) == 1.0 else c * LX  # 1.0 * v == v exactly
 
 
 # ---------------------------------------------------------------------------

@@ -147,21 +147,26 @@ def coupled_rhs(system: NetworkSystem, t: float, x: np.ndarray) -> np.ndarray:
     """
     n, m = system.n_nodes, system.state_dim
     X = np.array(x, dtype=float, order="C").reshape(n, m)  # no strides of x reach L.dot(X)
-    return _stages(system, system.schedule.sample)(t, X).reshape(n * m)
+    F, k = _stages(system, system.schedule.sample)(t, X)
+    if not _all_finite(F):
+        _node_fault(t, F)
+    return k.reshape(n * m)
 
 
 def _stages(system: NetworkSystem, piece):
-    """The coupled field (t, X) -> F(t, X) + c L(t) X while ``piece`` is active.
+    """The coupled field (t, X) -> (F, k), k = F(t, X) + c L(t) X, while
+    ``piece`` is active; F is the stacked node field output.
 
     The graph Laplacian L of the piece's adjacency is built once for a
     constant piece.  A functional piece keeps the Laplacians of its last six
     sample times, keyed by t (A(t) is deterministic per t): RK4's two
     midpoint stages share one sample, and an RKF45 attempt reuses the
     previous attempt's c = 1 sample after an accepted step, or its stage-0
-    sample after a rejected one.  The node fields are checked finite before
-    the coupling product, so a fault names its node and stage time.
+    sample after a rejected one.  Nothing is checked here: the caller keeps
+    each stage's F and screens the step's result once, then names the first
+    non-finite F by its node and stage time (``_step_fault``).
     """
-    c = system.global_coupling
+    c = np.array(system.global_coupling)  # 0-d: numpy converts a Python float on every call
     # looked up per segment, not at import, so wrappers installed later apply
     eval_nodes, coupling_term = system.eval_nodes, kern.coupling_term
     L = kern.laplacian(piece.matrix) if isinstance(piece, _ConstPiece) else None
@@ -169,8 +174,6 @@ def _stages(system: NetworkSystem, piece):
 
     def stage(t, X):
         F = eval_nodes(t, X)
-        if not _all_finite(F):
-            _node_fault(t, F)
         Lt = L
         if Lt is None:
             Lt = cache.pop(t, None)
@@ -179,16 +182,36 @@ def _stages(system: NetworkSystem, piece):
                 if len(cache) == 6:
                     del cache[next(iter(cache))]
             cache[t] = Lt
-        return F + coupling_term(Lt, X, c)
+        return F, F + coupling_term(Lt, X, c)
 
     return stage
 
 
+def _bad_node(A):
+    """The first row of the (n, m) array A holding a non-finite value."""
+    return int(np.nonzero(~np.isfinite(A).all(axis=1))[0][0])
+
+
 def _node_fault(t, F):
-    bad = int(np.nonzero(~np.isfinite(F).all(axis=1))[0][0])
+    bad = _bad_node(F)
     raise IntegrationError(
         f"node {bad} produced a non-finite field value at t={t}", t, node=bad
     )
+
+
+def _state_fault(t, X):
+    bad = _bad_node(X)
+    raise IntegrationError(
+        f"state became non-finite at t={t}, first at node {bad}", t, node=bad
+    )
+
+
+def _step_fault(stages):
+    """Raise _node_fault for the first non-finite F of ``stages``, (stage time,
+    F) pairs in stage order; return if every F is finite."""
+    for t, F in stages:
+        if not _all_finite(F):
+            _node_fault(t, F)
 
 
 class _Recorder:
@@ -211,11 +234,6 @@ class _Recorder:
         )
 
 
-def _check_finite(t: float, X: np.ndarray) -> None:
-    if not _all_finite(X):
-        raise IntegrationError(f"state became non-finite at t={t}", t)
-
-
 def _uniform_steps(a, b, dt):
     """(n, h, ends) for the fewest n steps h = (b - a)/n <= dt over [a, b]: ends
     yields the step ends a + s h, s = 1..n, as floats with the last one b."""
@@ -225,21 +243,33 @@ def _uniform_steps(a, b, dt):
 
 
 def _rk4_segment(system, piece, a, b, dt, rec):
-    """Classical RK4 over [a, b] with a uniform step h <= dt that lands on b."""
+    """Classical RK4 over [a, b] with a uniform step h <= dt that lands on b.
+
+    Every stage enters the step result elementwise with a nonzero weight, so
+    one finiteness screen of the result covers the four node field outputs:
+    only when it fails are they scanned, in stage order, for the fault to
+    name.  A non-finite stage therefore still feeds the later stages of its
+    step; numpy's ``invalid`` warnings are silenced while stepping.
+    """
     n_steps, h, ends = _uniform_steps(a, b, dt)
-    hh, h6 = 0.5 * h, h / 6.0  # hoisted; the same floats at every stage
+    hh = 0.5 * h  # the stage times stay Python floats
+    # the step's constant operands as 0-d arrays, the same floats at every stage
+    w_hh, w_h, w_h6, two = np.array(hh), np.array(h), np.array(h / 6.0), np.array(2.0)
     f = _stages(system, piece)
     X = rec.states[-1]
     t = a
-    for s, t_next in enumerate(ends, 1):
-        k1 = f(t, X)
-        k2 = f(t + hh, X + hh * k1)
-        k3 = f(t + hh, X + hh * k2)
-        k4 = f(t + h, X + h * k3)
-        X = X + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_next
-        _check_finite(t, X)
-        rec.step_done(t, X, force=s == n_steps)
+    with np.errstate(invalid="ignore"):
+        for s, t_next in enumerate(ends, 1):
+            F1, k1 = f(t, X)
+            F2, k2 = f(t + hh, X + w_hh * k1)
+            F3, k3 = f(t + hh, X + w_hh * k2)
+            F4, k4 = f(t + h, X + w_h * k3)
+            X = X + w_h6 * (k1 + two * k2 + two * k3 + k4)
+            if not _all_finite(X):
+                _step_fault(zip((t, t + hh, t + hh, t + h), (F1, F2, F3, F4)))
+                _state_fault(t_next, X)
+            t = t_next
+            rec.step_done(t, X, force=s == n_steps)
     return X
 
 
@@ -260,36 +290,53 @@ _RKF_E = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
 
 
 def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
+    """RKF45 over [a, b] from the step h_start; returns (X, the next step).
+
+    Stages 0 and 2-5 enter the error estimate with nonzero weights, so its
+    finiteness screens their node field outputs; stage 1 has weight 0 there
+    and in the solution (a BLAS product may skip a zero weight) and is
+    checked on its own.  As in ``_rk4_segment``, the outputs are scanned in
+    stage order only when a screen fails.
+    """
     f = _stages(system, piece)
     t = a
     X = rec.states[-1]
     K = np.empty((6,) + X.shape)  # stage buffer; Kf views it as (6, n*m)
     Kf = K.reshape(6, -1)
+    F = [None] * 6  # each stage's node field output
+    atol, rtol = np.array(cfg.atol), np.array(cfg.rtol)
     h = min(h_start, b - a)
-    while t < b - 1e-14 * max(1.0, abs(b)):
-        h = min(h, b - t)
-        if h < 1e-13 * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t={t}", t)
-        hA = h * _RKF_A  # row s, first s entries: stage s's input weights
-        K[0] = f(t, X)
-        for s in range(1, 6):
-            K[s] = f(t + _RKF_C[s] * h, X + hA[s, :s].dot(Kf[:s]).reshape(X.shape))
-        X5 = X + (h * _RKF_B5).dot(Kf).reshape(X.shape)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(X), np.abs(X5))
-        q = ((h * _RKF_E).dot(Kf) / scale.reshape(-1)) ** 2
-        err = math.sqrt(np.add.reduce(q) / q.size)  # == np.sqrt(np.mean(q))
-        if err > 1.0 and h <= 1e-12:
-            raise IntegrationError(
-                f"step of size {h:.3g} at t={t} rejected (error ratio {err:.3g}); "
-                f"the tolerances cannot be met", t)
-        if err <= 1.0:
-            t_new = t + h
-            _check_finite(t_new, X5)
-            X = X5
-            t = t_new
-            rec.step_done(t, X, force=(t >= b - 1e-14 * max(1.0, abs(b))))
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
+    with np.errstate(invalid="ignore"):
+        while t < b - 1e-14 * max(1.0, abs(b)):
+            h = min(h, b - t)
+            if h < 1e-13 * max(1.0, abs(t)):
+                raise IntegrationError(f"step size underflow at t={t}", t)
+            w_h = np.array(h)
+            hA = w_h * _RKF_A  # row s, first s entries: stage s's input weights
+            F[0], K[0] = f(t, X)
+            for s in range(1, 6):
+                F[s], K[s] = f(t + _RKF_C[s] * h,
+                               X + hA[s, :s].dot(Kf[:s]).reshape(X.shape))
+            X5 = X + (w_h * _RKF_B5).dot(Kf).reshape(X.shape)
+            scale = atol + rtol * np.maximum(np.abs(X), np.abs(X5))
+            q = ((w_h * _RKF_E).dot(Kf) / scale.reshape(-1)) ** 2
+            err = math.sqrt(np.add.reduce(q) / q.size)  # == np.sqrt(np.mean(q))
+            if not (math.isfinite(err) and _all_finite(F[1])):
+                _step_fault(zip([t] + [t + _RKF_C[s] * h for s in range(1, 6)], F))
+            if err > 1.0 and h <= 1e-12:
+                raise IntegrationError(
+                    f"step of size {h:.3g} at t={t} rejected (error ratio {err:.3g}); "
+                    f"the tolerances cannot be met", t)
+            if err <= 1.0:
+                t_new = t + h
+                if not _all_finite(X5):
+                    _state_fault(t_new, X5)
+                X = X5
+                t = t_new
+                rec.step_done(t, X, force=(t >= b - 1e-14 * max(1.0, abs(b))))
+            # a NaN err (a non-finite product of finite field values) rejects and shrinks
+            factor = 0.9 * err ** -0.2 if err > 0 else 5.0 if err == 0 else 0.2
+            h = h * min(5.0, max(0.2, factor))
     return X, h
 
 
@@ -307,8 +354,9 @@ def integrate(system: NetworkSystem, t0: float, x0, t_end: float, cfg: SolverCon
         raise ValueError("t_end must exceed t0")
     n, m = system.n_nodes, system.state_dim
     X0 = np.asarray(x0, dtype=float).reshape(n, m).copy()
-    if not np.isfinite(X0).all():
-        raise ValueError("initial state must be finite")
+    if not _all_finite(X0):
+        i, q = np.argwhere(~np.isfinite(X0))[0]
+        raise ValueError(f"initial state must be finite: x0[{i}, {q}] = {X0[i, q]}")
     segments = system.schedule.segments_between(t0, t_end)
     rec = _Recorder(cfg.record_stride, t0, X0)
     h = cfg.dt

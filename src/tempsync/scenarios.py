@@ -92,13 +92,14 @@ def _connected_undirected(support: np.ndarray) -> bool:
 
 
 def _random_connected_symmetric(rng, n, density):
-    for _ in range(1000):
+    draws = 1000
+    for _ in range(draws):
         upper = rng.random((n, n)) < density
         m = np.triu(upper, k=1)
         m = m | m.T
         if _connected_undirected(m):
             return m.astype(float)
-    raise RuntimeError("failed to draw a connected topology")
+    raise ValueError(f"no connected topology in {draws} draws at density {density}")
 
 
 def run_jobs(fn, kwargs_list, workers: int = 1):
@@ -127,14 +128,16 @@ def _vdp_system(n_nodes, delta_t, c, horizon, rng, eps0, density):
     schedule = build_switching_schedule(n_nodes, segments)
 
     last = [None, None]  # (t, -eps0 (1 + sin(omega t)/2)) of the latest call
+    # the literals as 0-d arrays: numpy converts a Python float operand on every call
+    neg_eps0, one, half, three = (np.array(lit) for lit in (-eps0, 1.0, 0.5, 3.0))
 
     def stacked(t, X):
         if last[0] != t:
-            last[:] = t, -eps0 * (1.0 + 0.5 * np.sin(omega * t))
+            last[:] = t, neg_eps0 * (one + half * np.sin(omega * t))
         u = X[:, 0]
         v = X[:, 1]
         out = np.empty_like(X)  # each column written by its last ufunc, not copied in
-        np.subtract(v + b * u, u ** 3 / 3.0, out=out[:, 0])
+        np.subtract(v + b * u, u ** three / three, out=out[:, 0])
         np.multiply(last[1], u, out=out[:, 1])
         return out
 
@@ -305,14 +308,19 @@ def ring_symbolic_certificate(a, a12, n_nodes) -> dict:
 # ---------------------------------------------------------------------------
 
 def _random_fhn_graph(rng, n, leaders, density):
-    for _ in range(2000):
+    """A connected support in which each leader has at least two out-neighbours
+    (so n >= 3: the diagonal is empty)."""
+    draws = 2000
+    for _ in range(draws):
         m = (rng.random((n, n)) < density)
         np.fill_diagonal(m, False)
         if not _connected_undirected(m):
             continue
         if all(int(m[:, l].sum()) >= 2 for l in leaders):
             return m.astype(float)
-    raise RuntimeError("failed to draw a usable leader graph")
+    raise ValueError(
+        f"no connected topology with two out-neighbours per leader in {draws} draws "
+        f"at density {density}")
 
 
 _FHN_BACKGROUND = 0.01  # every edge's weight outside its leader's active windows
@@ -352,12 +360,14 @@ def _fhn_system(n_nodes, rng, leaders, a_bar, omegas, horizon, density):
     support = _random_fhn_graph(rng, n_nodes, leaders, density)
     schedule = _fhn_schedule(n_nodes, support, leaders, a_bar, omegas, horizon)
 
+    three, eps = np.array(3.0), np.array(0.05)  # 0-d operands, as in _vdp_system
+
     def stacked(t, X):
         x = X[:, 0]
         y = X[:, 1]
         out = np.empty_like(X)
-        np.add(cpar * x - x ** 3 - y, ipar, out=out[:, 0])
-        np.multiply(0.05, x + apar - bpar * y, out=out[:, 1])  # time-scale ratio eps
+        np.add(cpar * x - x ** three - y, ipar, out=out[:, 0])
+        np.multiply(eps, x + apar - bpar * y, out=out[:, 1])  # time-scale ratio eps
         return out
 
     system = NetworkSystem(NodeField(2, stacked), schedule)
@@ -401,6 +411,9 @@ def run_fhn_clusters(n_nodes=15, a_bar=3.0, omega_l=0.10, omega_k=0.063, seed=0,
     args = dict(locals())
     if a_bar <= _FHN_BACKGROUND:
         raise ValueError(f"a_bar must exceed the background weight {_FHN_BACKGROUND}")
+    if n_nodes < 3:
+        raise ValueError(
+            f"n_nodes must be at least 3 (each leader needs two out-neighbours), got {n_nodes}")
     rng = np.random.default_rng(seed)
     leaders = rng.choice(n_nodes, size=2, replace=False)
     leaders = [int(leaders[0]), int(leaders[1])]
@@ -477,6 +490,16 @@ def star_matrix(n_nodes, a, b) -> np.ndarray:
     return m
 
 
+def _wobble(star, freqs):
+    """t -> star (1 + 0.1 sin(freqs t)), its literals as 0-d operands."""
+    one, tenth = np.array(1.0), np.array(0.1)
+
+    def wobble(t):
+        return star * (one + tenth * np.sin(freqs * t))
+
+    return wobble
+
+
 def _lorenz_system(n_nodes, schedule, c, rng, heterogeneous):
     sigma = np.full(n_nodes, 10.0)
     rho = np.full(n_nodes, 28.0)
@@ -517,13 +540,9 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
         )
     elif perturb == "sin":
         freqs = rng.uniform(math.pi, 2 * math.pi, (n_nodes, n_nodes))
-
-        def wobble(t, star=star.copy(), freqs=freqs):
-            return star * (1.0 + 0.1 * np.sin(freqs * t))
-
         schedule = AdjacencySchedule(
             n_nodes, [0.0, t_on],
-            [np.zeros((n_nodes, n_nodes)), wobble],
+            [np.zeros((n_nodes, n_nodes)), _wobble(star.copy(), freqs)],
         )
     elif perturb == "tanh":
         def ramp(t, b=b, t_on=t_on, n=n_nodes):

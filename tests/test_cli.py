@@ -410,6 +410,20 @@ def test_one_node_scenario_names_the_node_count(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("scenario, config, field", [
+    ("fhn", {"n_nodes": 2, "horizon": 1.0, "dt": 0.01}, "n_nodes"),
+    ("fhn", {"n_nodes": 1, "horizon": 1.0, "dt": 0.01}, "n_nodes"),
+    ("vdp", {"n_nodes": 6, "horizon": 1.0, "dt": 0.01, "density": 0.0}, "density"),
+])
+def test_undrawable_topology_names_the_field(tmp_path, capsys, scenario, config, field):
+    cfg = _write(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert dispatch(["scenario", scenario, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_names_path(tmp_path, capsys):
     code = dispatch(["certify", "--config", str(tmp_path / "nope.json")])
     assert code == 1

@@ -1,6 +1,7 @@
 """Integrator contracts: closed forms, breakpoint alignment, error series."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -615,3 +616,120 @@ def test_rk45_evaluations_are_six_per_attempt_and_samples_at_most_five(monkeypat
     attempts, rest = divmod(calls["eval_nodes"], 6)
     assert rest == 0 and attempts > accepted >= 10  # some steps were rejected
     assert calls["piece"] <= 5 * attempts + 1
+
+
+def _fault_at(call, value, node=2, then=None):
+    """-X, with ``value`` written into ``node`` at the ``call``-th evaluation;
+    ``then`` maps every later output (None leaves it as it is)."""
+    count = [0]
+
+    def field(t, X):
+        count[0] += 1
+        out = -X
+        if count[0] == call:
+            out = out.copy()
+            out[node] = value
+        elif count[0] > call and then is not None:
+            out = then(out)
+        return out
+
+    return field
+
+
+_PIECES = {
+    "constant": ts.static_schedule(np.ones((4, 4))),
+    "functional": ts.AdjacencySchedule(
+        4, [0.0], [lambda t: np.ones((4, 4)) * (1.0 + 0.1 * np.sin(t))]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["constant", "functional"])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_rk4_stage_fault_names_node_and_stage_time(stage, kind, value):
+    # the fault sits in stage ``stage`` of the third step; the step result is
+    # screened once, and the scan names the first non-finite stage output
+    system = ts.NetworkSystem(ts.NodeField(1, _fault_at(8 + stage, value)), _PIECES[kind])
+    h = 2.0 ** -4
+    t_stage = 2 * h + (0.0, 0.5 * h, 0.5 * h, h)[stage - 1]
+    with pytest.raises(ts.IntegrationError, match=rf"node 2 .* t={t_stage}$") as exc:
+        ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, ts.SolverConfig(dt=h))
+    assert exc.value.node == 2 and exc.value.t_last == t_stage
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("stage", [0, 2, 3, 4, 5])
+def test_rk45_stage_fault_names_node_and_stage_time(stage, value):
+    # stage 1 is test_rk45_zero_weight_stage_fault_names_node_and_stage_time;
+    # the others enter the error estimate, which is screened once per attempt
+    system = ts.NetworkSystem(ts.NodeField(1, _fault_at(stage + 1, value)),
+                              _PIECES["constant"])
+    t_stage = _RKF_C[stage] * 0.1  # the first attempt: t = 0, h = dt
+    with pytest.raises(ts.IntegrationError, match=rf"node 2 .* t={t_stage}$") as exc:
+        ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, ts.SolverConfig(method="rk45", dt=0.1))
+    assert exc.value.node == 2 and exc.value.t_last == t_stage
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_fault_is_caught_when_later_stages_map_nan_to_finite(method):
+    # the second evaluation faults and every later one is made finite again:
+    # the kept stage outputs still name the fault
+    field = _fault_at(2, math.nan, node=1, then=np.nan_to_num)
+    system = ts.NetworkSystem(ts.NodeField(1, field), ts.static_schedule(np.zeros((4, 4))))
+    cfg = ts.SolverConfig(method=method, dt=0.1)
+    t_stage = 0.05 if method == "rk4" else 0.025
+    with pytest.raises(ts.IntegrationError, match=rf"node 1 .* t={t_stage}$") as exc:
+        ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, cfg)
+    assert exc.value.node == 1 and exc.value.t_last == t_stage
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_one_node_fault_raises_no_runtime_warning(method, value):
+    # at n = m = 1 numpy's own dot loop flags 0 * inf as invalid; the later
+    # stages of the faulty step meet it, and no warning leaves the integrator
+    system = ts.NetworkSystem(ts.NodeField(1, _fault_at(3, value, node=0)),
+                              ts.static_schedule(np.zeros((1, 1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ts.IntegrationError) as exc:
+            ts.integrate(system, 0.0, np.ones((1, 1)), 1.0, ts.SolverConfig(method=method, dt=0.1))
+    assert exc.value.node == 0
+
+
+def test_non_finite_initial_state_names_the_entry():
+    x0 = np.zeros((3, 2))
+    x0[1, 0] = math.nan
+    with pytest.raises(ValueError, match=r"^initial state must be finite: x0\[1, 0\] = nan$"):
+        ts.integrate(ts.NetworkSystem(ts.NodeField(2, lambda t, X: -X),
+                                      ts.static_schedule(np.zeros((3, 3)))),
+                     0.0, x0, 1.0, ts.SolverConfig())
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_state_fault_names_the_first_non_finite_node():
+    # every field value is finite, but node 1's RK4 step sum overflows
+    def field(t, X):
+        out = np.zeros_like(X)
+        out[1] = 1e308
+        return out
+
+    system = ts.NetworkSystem(ts.NodeField(1, field), ts.static_schedule(np.zeros((3, 3))))
+    with pytest.raises(ts.IntegrationError,
+                       match=r"^state became non-finite at t=0\.0625, first at node 1$") as exc:
+        ts.integrate(system, 0.0, np.zeros((3, 1)), 1.0, ts.SolverConfig(dt=2.0 ** -4))
+    assert exc.value.node == 1 and exc.value.t_last == 0.0625
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_rk45_nan_error_estimate_shrinks_the_step_until_it_fails():
+    # finite field values, but the coupling product overflows: the error
+    # estimate is NaN at every step size, so each attempt is rejected and the
+    # step shrinks until it underflows, instead of growing and retrying forever
+    A = np.array([[0.0, 1e300], [1e300, 0.0]])
+    system = ts.NetworkSystem(ts.NodeField(1, lambda t, X: np.zeros_like(X)),
+                              ts.static_schedule(A))
+    with pytest.raises(ts.IntegrationError, match="step size underflow at t=0.0") as exc:
+        ts.integrate(system, 0.0, np.array([[1e10], [-1e10]]), 1.0,
+                     ts.SolverConfig(method="rk45", dt=0.1))
+    assert exc.value.t_last == 0.0

@@ -69,6 +69,8 @@ def test_coupling_term_matches_matmul_bit_for_bit(order):
                     assert np.array_equal(out, ref) and out.shape == ref.shape
                 else:
                     assert out.tobytes() == ref.tobytes(), (n, m, c)
+                # a 0-d c, as the integrator passes it, gives the same bytes
+                assert kern.coupling_term(L, X, np.array(c)).tobytes() == out.tobytes()
 
 
 def test_laplacian_copies_and_the_in_place_kernel_writes_over_its_input():

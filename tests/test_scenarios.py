@@ -9,7 +9,9 @@ import pytest
 
 import tempsync as ts
 from tempsync._kernels import pair_index
-from tempsync.scenarios import _connected_undirected, _window_contrast
+from tempsync.scenarios import (
+    _connected_undirected, _fhn_system, _vdp_system, _window_contrast, _wobble,
+)
 
 
 def test_ring_symbolic_certificate_reference_points():
@@ -217,3 +219,51 @@ def test_report_parameters_list_every_configurable_argument(fn, kwargs):
     report = fn(**kwargs)
     assert set(report.parameters) == keys
     assert all(report.parameters[k] == v for k, v in kwargs.items())
+
+
+def _wide_states(rng, n):
+    """(n, 2) states with magnitudes from 1e-300 to past the cube's overflow
+    (|u| > 5.6e102), both signs."""
+    mag = 10.0 ** rng.uniform(-300.0, 103.0, (n, 2))
+    mag[: n // 2] = rng.uniform(5.0e102, 5.7e102, (n // 2, 2))  # u ** 3 near float max
+    return mag * rng.choice([-1.0, 1.0], (n, 2))
+
+
+def test_scenario_fields_with_0d_literals_match_python_scalar_forms():
+    # the vdp, fhn and wobble fields hold their literals as 0-d arrays; these
+    # references are the same closures written with Python scalars
+    n, seed = 8, 5
+    rng = np.random.default_rng(seed)  # each system's first draws from its own seeded rng
+    b, omega = rng.uniform(0.5, 1.0, n), rng.uniform(1.0, 2.0, n)
+    rng = np.random.default_rng(seed)
+    cpar, apar = rng.uniform(0.75, 1.0, n), rng.uniform(-0.3, 0.3, n)
+    bpar, ipar = rng.uniform(0.1, 2.0, n), rng.uniform(0.0, 0.01, n)
+    leaders = [1, 4]
+    for leader, pars in zip(leaders, [(0.5, 0.1, 0.3, 1.4), (0.75, 0.15, 0.3, 1.4)]):
+        cpar[leader], ipar[leader], apar[leader], bpar[leader] = pars
+
+    def vdp(t, X):
+        u, v = X[:, 0], X[:, 1]
+        return np.column_stack(
+            [v + b * u - u ** 3 / 3.0, -0.1 * (1.0 + 0.5 * np.sin(omega * t)) * u])
+
+    def fhn(t, X):
+        x, y = X[:, 0], X[:, 1]
+        return np.column_stack([cpar * x - x ** 3 - y + ipar, 0.05 * (x + apar - bpar * y)])
+
+    fields = {
+        "vdp": (_vdp_system(n, 50.0, 1.0, 100.0, np.random.default_rng(seed), 0.1, 0.5)
+                .field.rhs, vdp),
+        "fhn": (_fhn_system(n, np.random.default_rng(seed), leaders, 3.0, [0.1, 0.063],
+                            100.0, 0.5)[0].field.rhs, fhn),
+    }
+    star = ts.star_matrix(n, 5.0, -1.0)
+    freqs = rng.uniform(math.pi, 2 * math.pi, (n, n))
+    wobble = _wobble(star, freqs)
+    times = [0.0, 0.3, 0.3, 7.125, 1e5, 0.3]  # repeats hit the vdp time-factor cache
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times:
+            X = _wide_states(rng, n)
+            for name, (field, ref) in fields.items():
+                assert field(t, X).tobytes() == ref(t, X).tobytes(), (name, t)
+            assert wobble(t).tobytes() == (star * (1.0 + 0.1 * np.sin(freqs * t))).tobytes()
