@@ -66,9 +66,11 @@ def laplacian(A):
 
 
 def _laplacian_in_place(L):
-    """L = A - diag(A 1), written over A itself, a C-ordered float64 (n, n) array."""
-    # the diagonal, as a view, less the row sums (L.sum's reduction without its wrapper)
-    L.reshape(-1)[:: L.shape[0] + 1] -= np.add.reduce(L, 1)
+    """L = A - diag(A 1), written over A itself, a C-ordered float64 (n, n) array or a
+    (T, n, n) stack of them, each matrix's row sums reduced as for one (n, n) array."""
+    n = L.shape[-1]
+    # each diagonal, as a view, less the row sums (L.sum's reduction without its wrapper)
+    L.reshape(L.shape[:-2] + (-1,))[..., :: n + 1] -= np.add.reduce(L, L.ndim - 1)
     return L
 
 

@@ -21,9 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels as kern
-from .integrate import SolverConfig, _Record, _Recorder, _uniform_steps, integrate
+from .integrate import SolverConfig, _horizon, _Record, _Recorder, _uniform_steps, integrate
 from .model import (ClusterSpec, NetworkSystem, PairBoundSet, _ConstPiece, _all_finite, _chunks,
-                    _finite, _grid, _segment_runs)
+                    _cuts, _finite, _grid, _segment_runs)
 
 
 class InfeasibleTopologyError(ValueError):
@@ -191,7 +191,7 @@ class ComparisonSystem:
             return np.array([-E.sum(axis=1) for E in E_rows(times)])
 
         def segments(t0, t1):
-            edges = sorted({t0, t1, *(float(b) for b in cuts if t0 < b < t1)})
+            edges = _cuts(t0, t1, cuts)
             return [SimpleNamespace(a=a, b=b, const=bool(piecewise_constant), E_rows=E_rows,
                                     b_rows=b_rows, margins=margins)
                     for a, b in zip(edges[:-1], edges[1:])]
@@ -218,7 +218,7 @@ class ComparisonSystem:
             def blocks(times):
                 """(times, c A(t), delta(t), D(t)) per chunk of times, each indexed by time."""
                 for ch in _chunks(times, dim * n):
-                    A = [cA] * len(ch) if const else c * np.stack([piece(t) for t in ch])
+                    A = [cA] * len(ch) if const else c * piece.block(ch)
                     S_t, D_t = (S, D) if const else kern.pair_sums(A, iu, ju, np.arange(n))
                     yield ch, A, bounds.alpha(ch) - S_t, D_t
 
@@ -264,7 +264,9 @@ def comparison_solve(cs: ComparisonSystem, t0: float, xi0, t_end: float,
     and nonnegative, so that the exact solution stays in the positive cone;
     ValueError names the first bad time and entry, or index of xi0.  The
     output is clipped at zero, which then only removes rounding below zero.
+    t0 and t_end must be finite with t_end > t0, as for ``integrate``.
     """
+    _horizon(t0, t_end)
     cfg = cfg or SolverConfig()
     if cfg.method != "rk4":
         raise ValueError(f"method must be 'rk4' for comparison_solve, got {cfg.method!r}")
@@ -315,8 +317,9 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     The bound is tight to first order for the dominant row, so propagation
     subdivides each grid interval (``substeps``) to keep the integration
     error well below tol.  Row dominance is sufficient, not necessary: a
-    stable system can still return verified=False.  max_anchors and
-    substeps must be integers >= 1 and tol finite and >= 0, or ValueError
+    stable system can still return verified=False, and so does a NaN ratio.
+    The grid must hold at least two finite, nondecreasing times, max_anchors
+    and substeps must be integers >= 1 and tol finite and >= 0, or ValueError
     names the parameter.
     """
     for name, v in (("max_anchors", max_anchors), ("substeps", substeps)):
@@ -334,9 +337,9 @@ def dominance_decay_check(cs: ComparisonSystem, grid, max_anchors: int = 8,
     anchor_idx = np.unique(np.linspace(0, len(grid) - 2, min(max_anchors, len(grid) - 1))
                            .astype(int))
     norms = _anchor_norms(cs.dim, segs, grid, anchor_idx, substeps)
-    ratios = (float(np.max(norms[ai:, k] / np.exp(-gamma_bar * (grid[ai:] - grid[ai]))))
-              for k, ai in enumerate(anchor_idx))
-    max_ratio = max([0.0, *ratios])
+    ratios = [np.max(norms[ai:, k] / np.exp(-gamma_bar * (grid[ai:] - grid[ai])))
+              for k, ai in enumerate(anchor_idx)]
+    max_ratio = float(np.max(ratios))  # a NaN ratio stays NaN, so verified is False
     return DecayCheck(gamma_bar=gamma_bar, verified=max_ratio <= 1.0 + tol, max_ratio=max_ratio,
                       anchors=[float(grid[i]) for i in anchor_idx])
 
@@ -663,16 +666,22 @@ def refined_bounds(cert: SyncCertificate, c: float, beta_inf: float | None = Non
 
 class PersistenceMargins(_Record):
     """Fields: heterogeneity_bound (node perturbation size -> error bound) and
-    adjacency_margin."""
+    adjacency_margin, a bound on the max row sum of |Delta A(t)| of the
+    effective adjacency c A(t) at every t (see persistence_margins)."""
 
 
 def persistence_margins(cert: SyncCertificate, rho: float, n_nodes: int) -> PersistenceMargins:
     """Perturbation tolerances inherited from a sharp baseline certificate.
 
     A node-field perturbation of sup size delta keeps the squared pairwise
-    errors within 4 rho delta sqrt(N(N-1)/2) / gamma_bar; adjacency
-    perturbations of sup norm below gamma_bar / 4 preserve sharp
-    synchronization.
+    errors within 4 rho delta sqrt(N(N-1)/2) / gamma_bar.  An adjacency
+    perturbation preserves sharp synchronization when, at every t, the max
+    row sum eps = max_i sum_k |Delta a_ik(t)| of its effective part
+    c Delta A(t) stays below adjacency_margin = gamma_bar / 4.  The pair sums
+    then move by |Delta S_ij| + |Delta D_ij| / 2 <= 2 eps, so every gamma_ij
+    by at most 4 eps and every delta_ij by at most 2 eps < |delta_ij|.  The
+    factor is tight: Delta a_ij = Delta a_ji = -eps lowers gamma_ij by
+    exactly 4 eps.  In the entrywise max norm the claim is false.
     """
     if not cert.verdict.holds:
         raise ValueError("persistence margins require a certificate that holds")

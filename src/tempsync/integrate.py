@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels as kern
-from .model import NetworkSystem, _ConstPiece, _all_finite
+from .model import NetworkSystem, _ConstPiece, _FuncPiece, _all_finite
 
 
 class IntegrationError(RuntimeError):
@@ -147,44 +147,59 @@ def coupled_rhs(system: NetworkSystem, t: float, x: np.ndarray) -> np.ndarray:
     """
     n, m = system.n_nodes, system.state_dim
     X = np.array(x, dtype=float, order="C").reshape(n, m)  # no strides of x reach L.dot(X)
-    F, k = _stages(system, system.schedule.sample)(t, X)
+    F, k = _stages(system, _FuncPiece.scalar(system.schedule.sample, n))[0](t, X)
     if not _all_finite(F):
         _node_fault(t, F)
     return k.reshape(n * m)
 
 
 def _stages(system: NetworkSystem, piece):
-    """The coupled field (t, X) -> (F, k), k = F(t, X) + c L(t) X, while
-    ``piece`` is active; F is the stacked node field output.
+    """(stage, read) for the coupled field while ``piece`` is active: stage(t, X)
+    gives (F, k), k = F(t, X) + c L(t) X with F the stacked node field output,
+    and read(times) fetches A at those times ahead of their stages.
 
     The graph Laplacian L of the piece's adjacency is built once for a
-    constant piece.  A functional piece keeps the Laplacians of its last six
-    sample times, keyed by t (A(t) is deterministic per t): RK4's two
-    midpoint stages share one sample, and an RKF45 attempt reuses the
-    previous attempt's c = 1 sample after an accepted step, or its stage-0
-    sample after a rejected one.  Nothing is checked here: the caller keeps
-    each stage's F and screens the step's result once, then names the first
-    non-finite F by its node and stage time (``_step_fault``).
+    constant piece, where read does nothing.  A functional piece keeps the
+    Laplacians of its last six sample times, keyed by t (A(t) is
+    deterministic per t): read takes the times not kept as one block and
+    forms their Laplacians with one row-sum reduction, and a stage whose
+    time is not kept reads it alone.  RK4's two midpoint stages share one
+    sample, and an RKF45 attempt reuses the previous attempt's c = 1 sample
+    after an accepted step, or its stage-0 sample after a rejected one.
+    Nothing is checked here: the caller keeps each stage's F and screens the
+    step's result once, then names the first non-finite F by its node and
+    stage time (``_step_fault``).
     """
     c = np.array(system.global_coupling)  # 0-d: numpy converts a Python float on every call
     # looked up per segment, not at import, so wrappers installed later apply
     eval_nodes, coupling_term = system.eval_nodes, kern.coupling_term
-    L = kern.laplacian(piece.matrix) if isinstance(piece, _ConstPiece) else None
-    cache = {}  # a functional piece's sample time -> Laplacian, least recently used first
+    if isinstance(piece, _ConstPiece):
+        L = kern.laplacian(piece.matrix)
+
+        def const_stage(t, X):
+            F = eval_nodes(t, X)
+            return F, F + coupling_term(L, X, c)
+
+        return const_stage, lambda times: None
+    cache = {}  # sample time -> Laplacian, least recently used first
+
+    def read(times):
+        new = [t for t in times if t not in cache]
+        if new:
+            cache.update(zip(new, kern._laplacian_in_place(piece.block(new))))
+            while len(cache) > 6:
+                del cache[next(iter(cache))]
 
     def stage(t, X):
         F = eval_nodes(t, X)
-        Lt = L
+        Lt = cache.pop(t, None)
         if Lt is None:
-            Lt = cache.pop(t, None)
-            if Lt is None:
-                Lt = kern._laplacian_in_place(piece(t))  # each sample is a fresh C array
-                if len(cache) == 6:
-                    del cache[next(iter(cache))]
-            cache[t] = Lt
+            read((t,))
+            Lt = cache.pop(t)
+        cache[t] = Lt
         return F, F + coupling_term(Lt, X, c)
 
-    return stage
+    return stage, read
 
 
 def _bad_node(A):
@@ -255,18 +270,20 @@ def _rk4_segment(system, piece, a, b, dt, rec):
     hh = 0.5 * h  # the stage times stay Python floats
     # the step's constant operands as 0-d arrays, the same floats at every stage
     w_hh, w_h, w_h6, two = np.array(hh), np.array(h), np.array(h / 6.0), np.array(2.0)
-    f = _stages(system, piece)
+    f, read = _stages(system, piece)
     X = rec.states[-1]
     t = a
     with np.errstate(invalid="ignore"):
         for s, t_next in enumerate(ends, 1):
+            t_mid, t_end = t + hh, t + h
+            read((t, t_mid, t_end))
             F1, k1 = f(t, X)
-            F2, k2 = f(t + hh, X + w_hh * k1)
-            F3, k3 = f(t + hh, X + w_hh * k2)
-            F4, k4 = f(t + h, X + w_h * k3)
+            F2, k2 = f(t_mid, X + w_hh * k1)
+            F3, k3 = f(t_mid, X + w_hh * k2)
+            F4, k4 = f(t_end, X + w_h * k3)
             X = X + w_h6 * (k1 + two * k2 + two * k3 + k4)
             if not _all_finite(X):
-                _step_fault(zip((t, t + hh, t + hh, t + h), (F1, F2, F3, F4)))
+                _step_fault(zip((t, t_mid, t_mid, t_end), (F1, F2, F3, F4)))
                 _state_fault(t_next, X)
             t = t_next
             rec.step_done(t, X, force=s == n_steps)
@@ -287,6 +304,7 @@ _RKF_A = np.array([
 ])
 _RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _RKF_E = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
+_RKF_C1 = tuple(_RKF_C[1:])  # numpy float64 scalars: stage s is at t + _RKF_C[s] * h
 
 
 def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
@@ -298,7 +316,7 @@ def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
     checked on its own.  As in ``_rk4_segment``, the outputs are scanned in
     stage order only when a screen fails.
     """
-    f = _stages(system, piece)
+    f, read = _stages(system, piece)
     t = a
     X = rec.states[-1]
     K = np.empty((6,) + X.shape)  # stage buffer; Kf views it as (6, n*m)
@@ -314,15 +332,16 @@ def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
             w_h = np.array(h)
             hA = w_h * _RKF_A  # row s, first s entries: stage s's input weights
             F[0], K[0] = f(t, X)
+            stage_times = [t] + [t + c * h for c in _RKF_C1]
+            read(stage_times[1:])
             for s in range(1, 6):
-                F[s], K[s] = f(t + _RKF_C[s] * h,
-                               X + hA[s, :s].dot(Kf[:s]).reshape(X.shape))
+                F[s], K[s] = f(stage_times[s], X + hA[s, :s].dot(Kf[:s]).reshape(X.shape))
             X5 = X + (w_h * _RKF_B5).dot(Kf).reshape(X.shape)
             scale = atol + rtol * np.maximum(np.abs(X), np.abs(X5))
             q = ((w_h * _RKF_E).dot(Kf) / scale.reshape(-1)) ** 2
             err = math.sqrt(np.add.reduce(q) / q.size)  # == np.sqrt(np.mean(q))
             if not (math.isfinite(err) and _all_finite(F[1])):
-                _step_fault(zip([t] + [t + _RKF_C[s] * h for s in range(1, 6)], F))
+                _step_fault(zip(stage_times, F))
             if err > 1.0 and h <= 1e-12:
                 raise IntegrationError(
                     f"step of size {h:.3g} at t={t} rejected (error ratio {err:.3g}); "
@@ -340,6 +359,15 @@ def _rk45_segment(system, piece, a, b, cfg, rec, h_start):
     return X, h
 
 
+def _horizon(t0, t_end) -> None:
+    """Check that t0 and t_end are finite and t_end > t0, naming the fault."""
+    for name, v in (("t0", t0), ("t_end", t_end)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    if t_end <= t0:
+        raise ValueError("t_end must exceed t0")
+
+
 def integrate(system: NetworkSystem, t0: float, x0, t_end: float, cfg: SolverConfig) -> Trajectory:
     """Integrate the coupled network from (t0, x0) to t_end.
 
@@ -347,11 +375,7 @@ def integrate(system: NetworkSystem, t0: float, x0, t_end: float, cfg: SolverCon
     n*m is also accepted).  The solver grid contains every schedule
     breakpoint in [t0, t_end]; t0 and t_end must be finite.
     """
-    for name, v in (("t0", t0), ("t_end", t_end)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    _horizon(t0, t_end)
     n, m = system.n_nodes, system.state_dim
     X0 = np.asarray(x0, dtype=float).reshape(n, m).copy()
     if not _all_finite(X0):

@@ -105,16 +105,24 @@ def _chunks(times, width):
 
 
 def _grid(name, times, least):
-    """times as a 1-d float array of at least ``least`` (1 or 2) nondecreasing times."""
+    """times as a 1-d float array of at least ``least`` (1 or 2) finite, nondecreasing times."""
     g = np.asarray(times, dtype=float)
     if g.ndim != 1 or g.size < least:
         raise ValueError(f"{name} must contain at least {('one time', 'two times')[least - 1]}")
+    if not _all_finite(g):
+        q = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise ValueError(f"{name} must be finite: {name}[{q}] = {g[q]}")
     down = np.flatnonzero(~(np.diff(g) >= 0))
     if down.size:
         q = int(down[0]) + 1
         raise ValueError(f"{name} must be nondecreasing: {name}[{q}] = {g[q]} "
                          f"follows {name}[{q - 1}] = {g[q - 1]}")
     return g
+
+
+def _cuts(t0, t1, breaks):
+    """The sorted times that cut [t0, t1] into segments: its ends and every break inside it."""
+    return sorted({t0, t1, *(float(b) for b in breaks if t0 < b < t1)})
 
 
 def _segment_runs(starts, times):
@@ -145,20 +153,48 @@ class _ConstPiece:
 
 
 class _FuncPiece:
-    """Functional segment; the wrapped callable is re-evaluated per sample."""
+    """Functional segment, read as blocks of times.
 
-    __slots__ = ("fn", "n")
+    block(times) is the checked (T, n, n) stack of A at a 1-d sequence of T
+    times, row k at times[k]: ``read(tau)`` gives the raw samples, one
+    (T, n, n) array or T (n, n) matrices, at the times ``tau`` the piece
+    sees, which ``see`` maps from the times asked for (None: the same).  A
+    public callable fn(t) -> (n, n) is read through ``scalar``, one call per
+    time; a private block function such as the Lorenz wobble is passed as
+    ``read`` itself.  Calling the piece at one time t gives block([t])[0].
+    """
 
-    def __init__(self, fn: Callable[[float], np.ndarray], n: int):
-        self.fn = fn
+    __slots__ = ("read", "n", "see")
+
+    def __init__(self, read, n: int, see=None):
+        self.read = read
         self.n = n
+        self.see = see
+
+    @classmethod
+    def scalar(cls, fn: Callable[[float], np.ndarray], n: int) -> "_FuncPiece":
+        return cls(lambda times: [fn(t) for t in times], n)
+
+    def seen_at(self, see) -> "_FuncPiece":
+        """This piece read at see(times) in place of times (a period shift or a clamp)."""
+        return _FuncPiece(self.read, self.n, see)
+
+    def block(self, times) -> np.ndarray:
+        tau = times if self.see is None else self.see(times)
+        n = self.n
+        m = np.array(self.read(tau), dtype=float, order="C")  # own copy, flat rows hold diagonals
+        if m.shape != (len(tau), n, n):
+            got = m.shape[1:] if m.shape[:1] == (len(tau),) else m.shape
+            raise ValueError(f"piece returned shape {got}, expected ({n}, {n})")
+        m.reshape(len(tau), -1)[:, :: n + 1] = 0.0  # every diagonal, as a view
+        if not _all_finite(m):
+            k, i, j = np.argwhere(~np.isfinite(m))[0]  # row-major: the first bad time first
+            raise ValueError(f"adjacency entry ({i}, {j}) at t={tau[k]} = {m[k, i, j]} "
+                             "is not finite")
+        return m
 
     def __call__(self, t: float) -> np.ndarray:
-        m = np.array(self.fn(t), dtype=float, order="C")  # own copy, flat view = diagonal
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"piece returned shape {m.shape}, expected ({self.n}, {self.n})")
-        m.reshape(-1)[:: self.n + 1] = 0.0  # the diagonal, as a view
-        return _finite(m, lambda i, j: f"adjacency entry ({i}, {j}) at t={t}")
+        return self.block([t])[0]
 
 
 class AdjacencySchedule:
@@ -180,7 +216,10 @@ class AdjacencySchedule:
     * "none": sampling before the first breakpoint raises.
 
     One rule (_locate) picks the active piece: sample, segments_between and
-    the grid reader on_grid all use it, so they agree at every time.
+    the grid reader on_grid all use it, so they agree at every time.  A
+    piece is an (n, n) matrix or a callable t -> (n, n), called once per
+    time; the integrator, on_grid and the comparison records read a
+    functional piece as (T, n, n) blocks of times (_FuncPiece.block).
     """
 
     def __init__(self, n_nodes, breakpoints, pieces, extension="constant", period=None):
@@ -210,7 +249,7 @@ class AdjacencySchedule:
             if isinstance(p, (_ConstPiece, _FuncPiece)):
                 wrapped.append(p)
             elif callable(p):
-                wrapped.append(_FuncPiece(p, self.n_nodes))
+                wrapped.append(_FuncPiece.scalar(p, self.n_nodes))
             else:
                 m = np.asarray(p, dtype=float)
                 if m.shape != (self.n_nodes, self.n_nodes):
@@ -259,9 +298,9 @@ class AdjacencySchedule:
         Returns a list of (a, b, piece) with a < b covering [t0, t1], cut at
         the floats b_i + k p of _locate, which also picks each piece.  A
         constant piece is returned as is, since it ignores t.  A functional
-        piece in period k != 0 is a closure that evaluates it at t - k p, and
-        one before b_0 on "constant" a closure that evaluates it at b_0; so
-        at the segment's right end it gives the left limit.
+        piece in period k != 0 is returned reading its block at t - k p, and
+        one before b_0 on "constant" reading it at b_0; so at the segment's
+        right end it gives the left limit.
         """
         if t1 <= t0:
             raise ValueError("need t1 > t0")
@@ -269,15 +308,15 @@ class AdjacencySchedule:
         if self.extension == "periodic":
             k0, k1 = self._locate(t0)[1], self._locate(t1)[1]
             b = np.concatenate([b + k * self.period for k in range(k0, k1 + 1)])
-        cuts = sorted({t0, t1, *(float(c) for c in b if t0 < c < t1)})
+        cuts = _cuts(t0, t1, b)
         out = []
         for a, e in zip(cuts[:-1], cuts[1:]):
             i, k, tau = self._locate(a)
             piece = self.pieces[i]
             if isinstance(piece, _FuncPiece) and k:
-                piece = (lambda pc, shift: lambda t: pc(t - shift))(piece, k * self.period)
+                piece = piece.seen_at(lambda times, s=k * self.period: [t - s for t in times])
             elif isinstance(piece, _FuncPiece) and tau != a:  # clamped before b_0
-                piece = (lambda pc, tb: lambda t: pc(tb))(piece, tau)
+                piece = piece.seen_at(lambda times, tb=tau: [tb] * len(times))
             out.append((a, e, piece))
         return out
 
@@ -285,9 +324,9 @@ class AdjacencySchedule:
         """(slice, A) for each run of the sorted ``times`` inside one segment.
 
         A constant piece gives its matrix as a one-matrix stack (1, n, n) for
-        the whole run; a functional piece gives stacks of its samples, in
-        chunks of at most _STACK_SIZE // width times.  Each row equals
-        sample(t) at its time t; segments that hold no time yield nothing.
+        the whole run; a functional piece gives its blocks, one per chunk of
+        at most _STACK_SIZE // width times.  Each row equals sample(t) at its
+        time t; segments that hold no time yield nothing.
         """
         segs = self.segments_between(times[0], np.nextafter(times[-1], np.inf))
         for s, run in _segment_runs([a for a, _, _ in segs], times):
@@ -296,7 +335,7 @@ class AdjacencySchedule:
                 yield run, piece.matrix[None]
                 continue
             for r in _chunks(range(run.start, run.stop), width):
-                yield slice(r.start, r.stop), np.stack([piece(t) for t in times[r.start:r.stop]])
+                yield slice(r.start, r.stop), piece.block(times[r.start:r.stop])
 
     # -- serialization (piecewise-constant schedules only) -----------------
 

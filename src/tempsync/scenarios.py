@@ -23,6 +23,7 @@ from .model import (
     AdjacencySchedule,
     NetworkSystem,
     NodeField,
+    _FuncPiece,
     build_switching_schedule,
     pair_bounds_for_identical_nodes,
     static_schedule,
@@ -491,11 +492,13 @@ def star_matrix(n_nodes, a, b) -> np.ndarray:
 
 
 def _wobble(star, freqs):
-    """t -> star (1 + 0.1 sin(freqs t)), its literals as 0-d operands."""
+    """t -> star (1 + 0.1 sin(freqs t)), its literals as 0-d operands; at a 1-d
+    sequence of T times it gives the (T, n, n) block, the same floats per row
+    (np.sin's result does not depend on the position of its argument)."""
     one, tenth = np.array(1.0), np.array(0.1)
 
     def wobble(t):
-        return star * (one + tenth * np.sin(freqs * t))
+        return star * (one + tenth * np.sin(freqs * np.asarray(t, dtype=float)[..., None, None]))
 
     return wobble
 
@@ -542,9 +545,10 @@ def run_lorenz_star(n_nodes=5, a=5.0, b=-1.0, c=2.0, heterogeneous=False,
         freqs = rng.uniform(math.pi, 2 * math.pi, (n_nodes, n_nodes))
         schedule = AdjacencySchedule(
             n_nodes, [0.0, t_on],
-            [np.zeros((n_nodes, n_nodes)), _wobble(star.copy(), freqs)],
+            [np.zeros((n_nodes, n_nodes)), _FuncPiece(_wobble(star.copy(), freqs), n_nodes)],
         )
     elif perturb == "tanh":
+        # one math.tanh per time: np.tanh differs from it in the last bit on some arguments
         def ramp(t, b=b, t_on=t_on, n=n_nodes):
             m = np.zeros((n, n))
             m[1:, 0] = 4.0 + 3.0 * math.tanh((t - t_on) / 5.0)

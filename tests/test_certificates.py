@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tempsync as ts
+from exact_pairs import exact_gammas
 from tempsync import certificates
 from tempsync._kernels import pair_arrays, pair_index, pair_sums
 from tempsync.certificates import ComparisonSystem, _grid_delta_gamma
@@ -430,6 +431,36 @@ def test_decay_check_constant_row_dominant_margin():
     assert chk.verified
 
 
+def test_decay_check_rejects_a_non_finite_grid():
+    # [0, 1, inf] on K3 returned verified=True with max_ratio 0: the ratios at
+    # t = inf were NaN, and Python's max dropped them
+    k3 = _zero_system(np.ones((3, 3)) - np.eye(3), c=0.2)
+    cs = ComparisonSystem.from_network(k3, ts.PairBoundSet.constant(3, -1.0, 0.0, rho=1.0))
+    for grid, msg in (([0.0, 1.0, math.inf], r"grid\[2\] = inf"),
+                      ([math.nan, 1.0], r"grid\[0\] = nan")):
+        with pytest.raises(ValueError, match=rf"^grid must be finite: {msg}$"):
+            ts.dominance_decay_check(cs, grid)
+    with pytest.raises(ValueError, match=r"^window_grid must be finite: window_grid\[1\] = -inf$"):
+        ts.compute_mu2(k3, ts.ClusterSpec([0, 1]), 1.0, [0.0, -math.inf, 2.0])
+
+
+def test_decay_check_nan_ratio_is_not_verified(monkeypatch):
+    k3 = _zero_system(np.ones((3, 3)) - np.eye(3), c=0.2)
+    cs = ComparisonSystem.from_network(k3, ts.PairBoundSet.constant(3, -1.0, 0.0, rho=1.0))
+    grid = np.linspace(0.0, 1.0, 11)
+    assert ts.dominance_decay_check(cs, grid, substeps=16).verified
+    propagate = certificates._anchor_norms
+
+    def one_nan(*args):
+        norms = propagate(*args)
+        norms[-1, -1] = math.nan
+        return norms
+
+    monkeypatch.setattr(certificates, "_anchor_norms", one_nan)
+    chk = ts.dominance_decay_check(cs, grid, substeps=16)
+    assert math.isnan(chk.max_ratio) and not chk.verified
+
+
 def test_decay_check_not_dominant_returns_false():
     E = np.array([[-1.0, 2.0], [0.0, -1.0]])  # row sum positive in row 0
     cs = ComparisonSystem(2, lambda t: E, lambda t: np.zeros(2), piecewise_constant=True)
@@ -470,6 +501,18 @@ def test_constant_segment_overflowing_diagonal_is_named():
         ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 1.0, ts.SolverConfig(dt=0.25))
     with pytest.raises(ValueError, match=msg):
         ts.dominance_decay_check(cs, np.linspace(0.0, 1.0, 11))
+
+
+def test_comparison_solve_rejects_a_bad_horizon():
+    # a hand-built system returned times == [t0] and u == xi0 for t_end <= t0,
+    # and failed inside the step count for a non-finite t_end
+    cs = ComparisonSystem(2, lambda t: -np.eye(2), lambda t: np.zeros(2), piecewise_constant=True)
+    for t0, t_end, msg in ((0.0, 0.0, "t_end must exceed t0"), (1.0, 0.5, "t_end must exceed t0"),
+                           (0.0, math.nan, "t_end must be finite, got nan"),
+                           (0.0, math.inf, "t_end must be finite, got inf"),
+                           (-math.inf, 1.0, "t0 must be finite, got -inf")):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            ts.comparison_solve(cs, t0, np.ones(2), t_end)
 
 
 def test_comparison_solve_rejects_nonfinite_start():
@@ -925,13 +968,7 @@ def test_gamma_failure_names_first_exact_tie():
     system = ts.build_contrarian_ring(10, a=a, a12=a12)
     bounds = ts.pair_bounds_for_identical_nodes(10, l, rho=2.0)
     cert = ts.check_full_sync(system, bounds, 3.0, bound_M=1.0, epsilon=1e-3)
-    A = [[Fraction(float(v)) for v in row] for row in system.schedule.sample(0.0)]
-    exact = {}
-    for i, j in zip(*pair_arrays(10)[:2]):
-        rest = [k for k in range(10) if k not in (i, j)]
-        S = A[i][j] + A[j][i] + sum(A[i][k] + A[j][k] for k in rest) / 2
-        D = sum(abs(A[j][k] - A[i][k]) for k in rest)
-        exact[(int(i), int(j))] = 2 * abs(Fraction(l) - S) - D
+    exact = exact_gammas(system.schedule.sample(0.0), l)
     tied = [p for p in sorted(exact) if exact[p] == min(exact.values())]
     assert tied == [(0, 8), (1, 6), (2, 7), (2, 8), (3, 8), (4, 9)]
     assert cert.verdict.render() == "fails(gamma,(1,9),t=0)"
@@ -1026,6 +1063,30 @@ def test_persistence_margins_formulas():
     cert.mu1 = 0.3
     with pytest.raises(ValueError):
         ts.persistence_margins(cert, 1.0, 5)
+
+
+def test_row_sum_perturbation_lowers_gamma_bar_by_exactly_four_eps():
+    # Delta a_01 = Delta a_10 = -eps has max row sum eps and lowers gamma_01
+    # by exactly 4 eps, the factor of adjacency_margin = gamma_bar / 4; every
+    # other pair of K4 moves by at most 2 eps.  At eps = the margin the
+    # certified gamma_bar reaches 0, so the margin is tight.
+    A = np.ones((4, 4)) - np.eye(4)
+    bounds = ts.PairBoundSet.constant(4, -1.0, 0.0, rho=1.0)
+    base = ts.check_full_sync(_decay_system(ts.static_schedule(A)), bounds, 3.0, 1.0, 1e-6)
+    margin = ts.persistence_margins(base, rho=1.0, n_nodes=4).adjacency_margin
+    exact_bar = min(exact_gammas(A, -1.0).values())
+    assert base.gamma_bar == exact_bar == 10 and margin == 2.5
+    for eps in (Fraction(1, 8), Fraction(3, 4), Fraction(margin)):
+        dA = np.zeros((4, 4))
+        dA[0, 1] = dA[1, 0] = -float(eps)
+        assert np.abs(dA).sum(axis=1).max() == eps
+        gammas = exact_gammas(A + dA, -1.0)
+        assert min(gammas.values()) == gammas[(0, 1)] == exact_bar - 4 * eps
+        assert all(g >= exact_bar - 2 * eps for p, g in gammas.items() if p != (0, 1))
+        cert = ts.check_full_sync(_decay_system(ts.static_schedule(A + dA)), bounds, 3.0, 1.0,
+                                  1e-6)
+        assert cert.gamma_bar == float(exact_bar - 4 * eps)
+        assert cert.verdict.holds == (eps < margin)
 
 
 def test_static_threshold_complete_graph_closed_form():

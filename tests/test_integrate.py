@@ -1,6 +1,7 @@
 """Integrator contracts: closed forms, breakpoint alignment, error series."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 import tempsync as ts
 from tempsync import _kernels as kern
 from tempsync.integrate import _RKF_A, _RKF_B5, _RKF_C, _RKF_E, _write_csv
-from tempsync.model import _ConstPiece
+from tempsync.model import _ConstPiece, _FuncPiece
 
 
 def _consensus_pair(w=1.0):
@@ -668,6 +669,33 @@ def test_rk45_stage_fault_names_node_and_stage_time(stage, value):
     with pytest.raises(ts.IntegrationError, match=rf"node 2 .* t={t_stage}$") as exc:
         ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, ts.SolverConfig(method="rk45", dt=0.1))
     assert exc.value.node == 2 and exc.value.t_last == t_stage
+
+
+def test_non_finite_adjacency_names_entry_and_first_bad_stage_time():
+    # A(t) has a NaN at (2, 1) from t = 0.045: the first RKF45 attempt
+    # (t = 0, h = 0.1) reads its stage times 0.025, 0.0375, 0.0923, 0.1, 0.05
+    # as one block, and the fault names stage 3's time, the first bad one in
+    # stage order, though stage 5's is earlier; a scalar callable and a
+    # block function name the same
+    def sample(t):
+        A = np.ones((4, 4))
+        if t >= 0.045:
+            A[2, 1] = math.nan
+        return A
+
+    def block(times):
+        return np.array([sample(t) for t in times])
+
+    t_stage = 0.0 + _RKF_C[3] * 0.1
+    msg = rf"^adjacency entry \(2, 1\) at t={re.escape(str(t_stage))} = nan is not finite$"
+    for piece in (sample, _FuncPiece(block, 4)):
+        system = ts.NetworkSystem(ts.NodeField(1, lambda t, X: -X),
+                                  ts.AdjacencySchedule(4, [0.0], [piece]))
+        with pytest.raises(ValueError, match=msg):
+            ts.integrate(system, 0.0, np.ones((4, 1)), 1.0,
+                         ts.SolverConfig(method="rk45", dt=0.1))
+        with pytest.raises(ValueError, match=r"\(2, 1\) at t=0\.05 = nan"):  # RK4: t + h/2
+            ts.integrate(system, 0.0, np.ones((4, 1)), 1.0, ts.SolverConfig(dt=0.1))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

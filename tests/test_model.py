@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tempsync as ts
-from tempsync.model import _all_finite, _ConstPiece
+from tempsync.model import _all_finite, _ConstPiece, _FuncPiece
+from tempsync.scenarios import _wobble
 
 
 def _eye_offdiag(n):
@@ -472,3 +473,61 @@ def test_all_finite_equals_isfinite_all():
                 assert _all_finite(v) is expected, (shape, v)
                 seen.add(expected)
     assert seen == {True, False}
+
+
+# -- functional pieces read as blocks of times ----------------------------------
+
+def _wobble_pair(extension):
+    """The Lorenz wobble on [0.5, 1.2) then the star, once as the public scalar
+    callable and once as the scenario's block piece."""
+    n = 6
+    star = ts.star_matrix(n, 8.0, -1.0)
+    freqs = np.random.default_rng(8).uniform(math.pi, 2 * math.pi, (n, n))
+    period = 1.0 if extension == "periodic" else None
+    return [ts.AdjacencySchedule(n, [0.5, 1.2], [piece, star], extension=extension,
+                                 period=period)
+            for piece in (_wobble(star, freqs), _FuncPiece(_wobble(star, freqs), n))]
+
+
+@pytest.mark.parametrize("extension", ["constant", "periodic"])
+def test_wobble_block_rows_equal_its_scalar_samples(extension):
+    # before b_0 the "constant" extension reads the piece clamped at b_0, and
+    # a periodic one reads it at t - k p in period k: each row of every block
+    # equals the scalar callable's sample byte for byte
+    scalar, block = _wobble_pair(extension)
+    times = np.linspace(-1.0, 4.0, 201)
+    forms = set()
+    for a, b, piece in block.segments_between(-1.0, 4.0):
+        inside = times[(times >= a) & (times < b)]
+        if isinstance(piece, _ConstPiece) or not inside.size:
+            continue
+        forms.add("plain" if 0.5 <= a < 1.2 else
+                  "clamped" if extension == "constant" else "shifted")
+        rows = piece.block(inside)
+        assert rows.shape == (inside.size, 6, 6)
+        for t, row in zip(inside, rows):
+            assert row.tobytes() == scalar.sample(t).tobytes() == block.sample(t).tobytes()
+    assert forms == ({"clamped", "plain"} if extension == "constant" else {"plain", "shifted"})
+
+
+def test_scalar_and_block_pieces_give_the_same_bytes():
+    # on_grid, the comparison records and integrate read a block piece where
+    # they read a scalar callable's stacked samples, with the same bytes
+    def outputs(schedule):
+        grid = np.linspace(0.0, 3.0, 151)
+        rows = np.concatenate([np.broadcast_to(A, (run.stop - run.start, 6, 6))
+                               for run, A in schedule.on_grid(grid, 36)])
+        system = ts.NetworkSystem(ts.NodeField(1, lambda t, X: -X + np.sin(t)), schedule, 0.3)
+        cs = ts.ComparisonSystem.from_network(
+            system, ts.PairBoundSet.constant(6, -4.0, 0.0, rho=1.0))
+        solve = ts.comparison_solve(cs, 0.0, np.ones(cs.dim), 3.0, ts.SolverConfig(dt=0.05))
+        decay = ts.dominance_decay_check(cs, grid)
+        x0 = np.linspace(-1.0, 1.0, 6).reshape(6, 1)
+        trajs = [ts.integrate(system, 0.0, x0, 3.0, ts.SolverConfig(method=m, dt=0.01))
+                 for m in ("rk4", "rk45")]
+        return [rows.tobytes(), solve.u.tobytes(), decay.gamma_bar, decay.max_ratio,
+                *(tr.times.tobytes() + tr.states.tobytes() for tr in trajs)]
+
+    for extension in ("constant", "periodic"):
+        scalar, block = _wobble_pair(extension)
+        assert outputs(scalar) == outputs(block), extension
